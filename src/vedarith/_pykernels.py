@@ -5,6 +5,13 @@ most-significant zeros; zero is the empty list).  `_ckernels` is the
 compiled twin: same functions, same digit-level algorithms, bit-identical
 results.  Everything here is deliberately digit-serial; no function ever
 falls back to machine-word multiplication or division of whole operands.
+
+Straight division keeps each divisor's fixed work in a `_Divisor` record:
+the single-digit normalizing scale, the normalized digits and their
+leading digit, and the rows divisor*q, each filled the first time a
+quotient digit needs it.  The record of the last divisor seen is kept, so
+a run of divisions by one modulus (as in modular exponentiation)
+normalizes it once and builds each row once.
 """
 
 from __future__ import annotations
@@ -19,25 +26,37 @@ def _trim(digits: list) -> list:
 
 
 def _cmp(a: list, b: list) -> int:
-    if len(a) != len(b):
-        return -1 if len(a) < len(b) else 1
-    for i in range(len(a) - 1, -1, -1):
-        if a[i] != b[i]:
-            return -1 if a[i] < b[i] else 1
+    n = len(a)
+    m = len(b)
+    if n != m:
+        return -1 if n < m else 1
+    for i in range(n - 1, -1, -1):
+        x = a[i]
+        y = b[i]
+        if x != y:
+            return -1 if x < y else 1
     return 0
 
 
 def _sub_inplace(a: list, b: list, base: int) -> list:
-    # a -= b, requires a >= b
+    # a -= b, requires a >= b; walks b's digits, then the borrow run only
     borrow = 0
-    for i in range(len(a)):
-        t = a[i] - borrow - (b[i] if i < len(b) else 0)
+    for i, y in enumerate(b):
+        t = a[i] - y - borrow
         if t < 0:
-            t += base
+            a[i] = t + base
             borrow = 1
         else:
+            a[i] = t
             borrow = 0
-        a[i] = t
+    i = len(b)
+    while borrow:
+        if a[i]:
+            a[i] -= 1
+            borrow = 0
+        else:
+            a[i] = base - 1
+        i += 1
     return _trim(a)
 
 
@@ -107,6 +126,50 @@ def mul_shift_add(xs: list, ys: list, base: int) -> list:
     return _trim(res)
 
 
+class _Divisor:
+    """One divisor's fixed work for straight division.
+
+    `scale` is the single-digit factor that lifts the leading digit to at
+    least ceil(base/2), `dy` the scaled digits, `main` their leading digit,
+    and `rows[q]` the subtrahend dy*q, None until first needed.  `key` is
+    a private copy of the caller's digits, so a caller that later mutates
+    its list cannot make a stale record match.
+    """
+
+    __slots__ = ("key", "base", "scale", "dy", "main", "rows")
+
+    def __init__(self, ys: list, base: int):
+        self.key = list(ys)
+        self.base = base
+        self.scale = 1 if ys[-1] >= (base + 1) // 2 else base // (ys[-1] + 1)
+        self.dy = self.key if self.scale == 1 else _scale(ys, self.scale, base)
+        assert len(self.dy) == len(ys), "normalization must not grow the divisor"
+        self.main = self.dy[-1]
+        self.rows = [None] * base
+
+    def row(self, q: int) -> list:
+        r = self.rows[q]
+        if r is None:
+            r = self.rows[q] = _scale(self.dy, q, self.base)
+        return r
+
+
+_last_divisor: _Divisor | None = None
+
+
+def _divisor(ys: list, base: int) -> _Divisor:
+    """The record for ys in base, reusing the last one when it matches.
+
+    Safe under threads: a caller keeps the record it got even if another
+    thread replaces the memo, and two threads filling one row store equal
+    lists."""
+    global _last_divisor
+    d = _last_divisor
+    if d is None or d.base != base or d.key != ys:
+        d = _last_divisor = _Divisor(ys, base)
+    return d
+
+
 def div_straight(xs: list, ys: list, base: int, want_trace: bool = False):
     """Straight (at-sight) division by the divisor's leading digit.
 
@@ -117,6 +180,11 @@ def div_straight(xs: list, ys: list, base: int, want_trace: bool = False):
     divisor digits act as the flag: their product with the quotient digit
     is subtracted from the running partial as one multi-digit value.
 
+    The scale, the normalized divisor and its multiples come from the
+    divisor's `_Divisor` record, so repeated divisions by one divisor do
+    that work once; each step only compares against the memoized multiple
+    of its digit estimate, steps down on overshoot, and subtracts once.
+
     Returns (quotient, remainder, max_adjust, trace) with trace a list of
     (step, K, q_estimate, adjustments, q, r) tuples or None.
     """
@@ -124,15 +192,15 @@ def div_straight(xs: list, ys: list, base: int, want_trace: bool = False):
     if M == 0:
         raise ZeroDivisionError("division by zero")
     trace = [] if want_trace else None
-    half = (base + 1) // 2
-    scale = 1 if ys[-1] >= half else base // (ys[-1] + 1)
-    dx = _scale(xs, scale, base)
-    dy = _scale(ys, scale, base)
-    assert len(dy) == M, "normalization must not grow the divisor"
+    d = _divisor(ys, base)
+    scale = d.scale
+    dx = xs if scale == 1 else _scale(xs, scale, base)
     L = len(dx)
     if L < M:
         return [], list(xs), 0, trace
-    main = dy[-1]
+    main = d.main
+    rows = d.rows
+    top = base - 1
     W: list = []  # running partial, always < divisor before each shift
     quotient = []
     max_adjust = 0
@@ -146,14 +214,16 @@ def div_straight(xs: list, ys: list, base: int, want_trace: bool = False):
         # K = the top of the partial, at most two digits' worth
         K = (W[M - 1] if len(W) > M - 1 else 0) + base * (W[M] if len(W) > M else 0)
         qhat = K // main
-        if qhat > base - 1:
-            qhat = base - 1
+        if qhat > top:
+            qhat = top
         q_est = qhat
-        sub = _scale(dy, qhat, base)
+        sub = rows[qhat]
+        if sub is None:
+            sub = d.row(qhat)
         adj = 0
         while _cmp(W, sub) < 0:
             qhat -= 1
-            _sub_inplace(sub, dy, base)
+            sub = d.row(qhat)
             adj += 1
         _sub_inplace(W, sub, base)
         quotient.append(qhat)

@@ -5,8 +5,10 @@ is the comparison between algorithms (and between the compiled and pure
 kernels), never absolute figures.  For each operation and width the
 operand stream is generated once from a per-cell subseed, so every
 algorithm of a cell consumes the identical stream; the stream checksum is
-emitted as a CSV column to make the pairing checkable, and every result
-digit is folded into a running checksum so no call can be optimized away.
+emitted as a CSV column to make the pairing checkable.  Every result digit
+is folded into one checksum per cell after the cell's timer stops; all
+algorithms and backends of a cell must produce the same checksum, and the
+cell checksums fold into the run's result checksum.
 """
 
 from __future__ import annotations
@@ -193,17 +195,22 @@ class _Workload:
 
 def _time_cell(run, operands, iterations: int) -> tuple[int, int]:
     run(operands[0])  # warmup
-    sink = _FNV_OFFSET
+    results = [None] * iterations
     count = len(operands)
     t0 = time.perf_counter_ns()
     for k in range(iterations):
-        sink = _fold(sink, run(operands[k % count]))
+        results[k] = run(operands[k % count])
     total = time.perf_counter_ns() - t0
+    sink = _FNV_OFFSET
+    for digits in results:
+        sink = _fold(sink, digits)
     return total, sink
 
 
 def run_suite(config: BenchConfig) -> tuple[list[BenchRecord], str]:
-    """All records plus the folded result checksum (anti-dead-code sink)."""
+    """All records plus the result checksum: the cells' result checksums,
+    folded in order.  Raises AssertionError when two algorithms or backends
+    of one cell disagree."""
     records: list[BenchRecord] = []
     sink = _FNV_OFFSET
     backend_names = (
@@ -215,6 +222,7 @@ def run_suite(config: BenchConfig) -> tuple[list[BenchRecord], str]:
             algos = tuple(a for a in algos if a in config.algorithms)
         for width in config.widths:
             workload = _Workload(operation, width, config.iterations, config.seed)
+            expected = None
             for algorithm in algos:
                 run = workload.runner(algorithm)
                 for name in backend_names:
@@ -227,7 +235,14 @@ def run_suite(config: BenchConfig) -> tuple[list[BenchRecord], str]:
                             total, cell_sink = _time_cell(
                                 run, workload.operands, config.iterations
                             )
-                    sink = (sink ^ cell_sink) & _MASK
+                    if expected is None:
+                        expected = cell_sink
+                    elif cell_sink != expected:
+                        raise AssertionError(
+                            f"{operation}/{width}: {algorithm} on "
+                            f"{name or backend.active_name()} disagrees with "
+                            "the cell's other results"
+                        )
                     records.append(
                         BenchRecord(
                             operation=operation,
@@ -240,6 +255,8 @@ def run_suite(config: BenchConfig) -> tuple[list[BenchRecord], str]:
                             backend=name,
                         )
                     )
+            if expected is not None:
+                sink = _fold(sink, (expected,))
     return records, "%016x" % sink
 
 

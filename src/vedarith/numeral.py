@@ -79,6 +79,10 @@ class Natural:
         if n != len(digits):
             digits = digits[:n]
         for d in digits:
+            # exactly int: floats and bools would reach the kernels, where
+            # the two backends treat them differently
+            if type(d) is not int:
+                raise TypeError(f"digit {d!r} is not an int")
             if not 0 <= d < base:
                 raise ValueError(f"digit {d} out of range for base {int(base)}")
         object.__setattr__(self, "digits", digits)

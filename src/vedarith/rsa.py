@@ -166,16 +166,15 @@ def keygen(
         or numeral.compare(j, totient) is not Ordering.LESS
     ):
         raise ValueError("public exponent must satisfy 1 < j < (p-1)(q-1)")
-    g, _, _, _, _ = extended_gcd(j, totient)
+    g, x_sign, x_mag, _, _ = extended_gcd(j, totient)
     if numeral.compare(g, one) is not Ordering.EQUAL:
         raise ValueError(
             "public exponent shares a factor with (p-1)(q-1): "
             f"gcd = {numeral.format(g)}"
         )
-    j_int = numeral.to_int(j)
-    k_int = numeral.to_int(totient)
-    _, x, _ = _ext_gcd_ints(j_int, k_int)
-    private_exp = numeral.from_int(x % k_int, base)
+    # x*j + y*totient = 1 with 0 < |x| < totient, so x mod totient is
+    # either x or totient - |x|
+    private_exp = x_mag if x_sign > 0 else numeral.sub(totient, x_mag)
     check = modexp.mod_mul(j, private_exp, totient, strategy)
     if numeral.compare(check, one) is not Ordering.EQUAL:
         raise AssertionError("private exponent failed the inverse check")

@@ -1,7 +1,12 @@
 """Differential tests: the compiled kernels must match the pure ones
 bit for bit, and the dispatcher must honor explicit selection."""
 
+import importlib.util
 import os
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +17,43 @@ compiled_available = "compiled" in backend.available()
 needs_compiled = pytest.mark.skipif(
     not compiled_available, reason="compiled kernels not built"
 )
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The compiled twin: the installed backend when there is one, else
+    the shipped `_ckernels.c` built into a temporary directory.  The build
+    is loaded as a bare module and never registered as a backend, so the
+    default backend does not change."""
+    if compiled_available:
+        return backend.available()["compiled"]
+    cc = shutil.which("gcc") or shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler to build the compiled kernels")
+    source = Path(_pykernels.__file__).with_name("_ckernels.c")
+    target = tmp_path_factory.mktemp("ckernels") / (
+        "_ckernels" + sysconfig.get_config_var("EXT_SUFFIX")
+    )
+    paths = sysconfig.get_paths()
+    includes = sorted({f"-I{paths['include']}", f"-I{paths['platinclude']}"})
+    subprocess.run(
+        [cc, "-O2", "-shared", "-fPIC", *includes, str(source), "-o", str(target)],
+        check=True,
+    )
+    spec = importlib.util.spec_from_file_location("vedarith._ckernels", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def to_int(digits, base):
+    return sum(d * base**i for i, d in enumerate(digits))
+
+
+def check_division(xs, ys, base):
+    q, r, _, _ = _pykernels.div_straight(xs, ys, base)
+    want = divmod(to_int(xs, base), to_int(ys, base))
+    assert (to_int(q, base), to_int(r, base)) == want
 
 
 def rand_digits(rng, maxlen, base):
@@ -43,9 +85,7 @@ def test_compiled_is_default_when_built():
     assert backend.active_name() == "compiled"
 
 
-@needs_compiled
-def test_kernels_agree_on_random_digit_lists():
-    compiled = backend.available()["compiled"]
+def test_kernels_agree_on_random_digit_lists(compiled):
     rng = Lcg64(0xBEEF)
     for trial in range(4000):
         base = (2, 4, 10, 16, 256)[rng.below(5)]
@@ -59,11 +99,19 @@ def test_kernels_agree_on_random_digit_lists():
             want_trace = trial % 4 == 0
             got = compiled.div_straight(xs, ys, base, want_trace)
             assert got == _pykernels.div_straight(xs, ys, base, want_trace)
+    # repeated and alternating divisors, so the pure twin's divisor record
+    # is exercised both freshly built and reused
+    for base in (2, 4, 10, 16, 256):
+        a = rand_digits(rng, 12, base) or [1]
+        b = rand_digits(rng, 12, base) or [base - 1]
+        for ys in (a, a, a, b, a, b, b, a):
+            xs = rand_digits(rng, 40, base)
+            for want_trace in (False, True):
+                got = compiled.div_straight(xs, ys, base, want_trace)
+                assert got == _pykernels.div_straight(xs, ys, base, want_trace)
 
 
-@needs_compiled
-def test_bit_kernels_agree():
-    compiled = backend.available()["compiled"]
+def test_bit_kernels_agree(compiled):
     rng = Lcg64(0xF00D)
     for _ in range(4000):
         xs = rand_digits(rng, 96, 2)
@@ -74,9 +122,7 @@ def test_bit_kernels_agree():
         assert compiled.div_nonrestoring(xs, ys) == _pykernels.div_nonrestoring(xs, ys)
 
 
-@needs_compiled
-def test_kernels_agree_on_edge_shapes():
-    compiled = backend.available()["compiled"]
+def test_kernels_agree_on_edge_shapes(compiled):
     cases = [
         ([], [], 16),
         ([], [1], 16),
@@ -102,3 +148,39 @@ def test_division_by_zero_raised_by_kernels():
             mod.div_restoring([1], [])
         with pytest.raises(ZeroDivisionError):
             mod.div_nonrestoring([1], [])
+
+
+def test_divisor_record_keeps_bases_apart():
+    xs = [7, 1, 9, 2, 4]
+    ys = [3, 5]  # 53 in base 10, 0x53 in base 16
+    for base in (10, 16, 10, 16, 16, 10):
+        check_division(xs, ys, base)
+    assert _pykernels._divisor(ys, 16) is _pykernels._divisor(ys, 16)
+    assert _pykernels._divisor(ys, 10).base == 10
+
+
+def test_divisor_record_ignores_caller_mutation():
+    xs = [7, 1, 9, 2, 4, 8]
+    for original in ([3, 9], [3, 2]):  # unscaled and scaled divisor, base 10
+        ys = list(original)
+        check_division([1, 0, 0, 0, 1], ys, 10)
+        ys[0] = 6
+        for dividend in (xs, [9] * 8):  # quotient digits not seen before
+            check_division(dividend, list(original), 10)
+        check_division(xs, ys, 10)
+        ys[-1] = 1
+        check_division(xs, ys, 10)
+        ys.append(4)
+        check_division(xs, ys, 10)
+
+
+def test_divisor_record_reuse_keeps_the_trace():
+    rng = Lcg64(0xD1CE)
+    for base in (2, 10, 16, 256):
+        ys = rand_digits(rng, 6, base) + [1]  # scaled unless base 2
+        xs = rand_digits(rng, 30, base) + [base - 1]
+        _pykernels.div_straight([1], [1] * (len(ys) + 1), base)  # evict ys
+        fresh = _pykernels.div_straight(xs, ys, base, True)
+        warm = _pykernels.div_straight(xs, ys, base, True)
+        assert warm == fresh
+        check_division(xs, ys, base)

@@ -97,6 +97,20 @@ def test_csv_lines_shape():
     assert len(sink) == 16
 
 
+def test_result_checksum_does_not_cancel_between_algorithms():
+    # both multipliers give equal results; the checksum must still carry them
+    _, sink = bench.run_suite(small_config(widths=(8,), operations=("mul",)))
+    assert sink != "%016x" % bench._FNV_OFFSET
+    _, other = bench.run_suite(small_config(widths=(8,), operations=("mul",), seed=8))
+    assert other != sink
+
+
+def test_cell_results_must_agree(monkeypatch):
+    monkeypatch.setattr(bench.baseline_arith, "shift_add_multiply", lambda a, b: a)
+    with pytest.raises(AssertionError, match="mul/8: shift_add"):
+        bench.run_suite(small_config(widths=(8,), operations=("mul",)))
+
+
 def test_compare_backends_mode():
     if "compiled" not in backend.available():
         pytest.skip("compiled kernels not built")

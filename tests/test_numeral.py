@@ -66,6 +66,12 @@ def test_constructor_canonicalizes_and_validates():
         Natural((-1,), Base.HEX)
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "1", None], ids=repr)
+def test_constructor_rejects_non_int_digits(bad):
+    with pytest.raises(TypeError, match="not an int"):
+        Natural((bad, 2), Base.HEX)
+
+
 def test_equality_is_structural_including_base():
     assert nat(255, Base.HEX) != nat(255, Base.BYTE)
     assert nat(255, Base.HEX) == nat(255, Base.HEX)
