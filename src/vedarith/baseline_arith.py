@@ -11,13 +11,13 @@ divider and the cross-product multiplier.
 from __future__ import annotations
 
 from . import backend, numeral
-from .numeral import Base, Natural
+from .numeral import Natural
 from .vedic_div import DivResult
 
 
 def restoring_divide(dividend: Natural, divisor: Natural) -> DivResult:
     """Bit-serial restoring division (subtract, restore on underflow)."""
-    result, _ = restoring_divide_stats(dividend, divisor)
+    result, _ = _bit_divide(dividend, divisor, "div_restoring")
     return result
 
 
@@ -26,32 +26,21 @@ def restoring_divide_stats(
 ) -> tuple[DivResult, int]:
     """Also reports the subtract-attempt count, which is exactly the bit
     length of the dividend."""
-    base = numeral.same_base(dividend, divisor)
-    if divisor.is_zero():
-        raise ZeroDivisionError("division by zero")
-    q, r, attempts = backend.kernels().div_restoring(
-        numeral.to_bits(dividend), numeral.to_bits(divisor)
-    )
-    return _bits_result(q, r, base), attempts
+    return _bit_divide(dividend, divisor, "div_restoring")
 
 
 def nonrestoring_divide(dividend: Natural, divisor: Natural) -> DivResult:
     """Bit-serial non-restoring division (alternate add/subtract, one final
     add-back when the last partial is negative)."""
-    result, _ = nonrestoring_divide_stats(dividend, divisor)
+    result, _ = _bit_divide(dividend, divisor, "div_nonrestoring")
     return result
 
 
 def nonrestoring_divide_stats(
     dividend: Natural, divisor: Natural
 ) -> tuple[DivResult, int]:
-    base = numeral.same_base(dividend, divisor)
-    if divisor.is_zero():
-        raise ZeroDivisionError("division by zero")
-    q, r, steps = backend.kernels().div_nonrestoring(
-        numeral.to_bits(dividend), numeral.to_bits(divisor)
-    )
-    return _bits_result(q, r, base), steps
+    """Also reports the add/subtract step count."""
+    return _bit_divide(dividend, divisor, "div_nonrestoring")
 
 
 def shift_add_multiply(x: Natural, y: Natural) -> Natural:
@@ -61,7 +50,15 @@ def shift_add_multiply(x: Natural, y: Natural) -> Natural:
     return numeral._from_canonical(tuple(out), base)
 
 
-def _bits_result(q_bits: list, r_bits: list, base: Base) -> DivResult:
-    return DivResult(
-        numeral.from_bits(q_bits, base), numeral.from_bits(r_bits, base)
+def _bit_divide(
+    dividend: Natural, divisor: Natural, kernel: str
+) -> tuple[DivResult, int]:
+    """Run the named bit-serial kernel of the active backend on base-2
+    copies of the operands; the result comes back in their base."""
+    base = numeral.same_base(dividend, divisor)
+    if divisor.is_zero():
+        raise ZeroDivisionError("division by zero")
+    q, r, count = getattr(backend.kernels(), kernel)(
+        numeral.to_bits(dividend), numeral.to_bits(divisor)
     )
+    return DivResult(numeral.from_bits(q, base), numeral.from_bits(r, base)), count

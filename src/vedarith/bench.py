@@ -15,19 +15,20 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from . import backend, baseline_arith, modexp, numeral, rsa, vedic_div, vedic_mul
+from . import backend, modexp, numeral, rsa
 from .modexp import Strategy
 from .numeral import Base
 from .randgen import Lcg64, derive_seed
 
 OPERATIONS = ("mul", "div", "modpow", "rsa_encrypt")
+# the modexp/rsa cells pair the cross-product multiplier with each divider
 _OP_ALGOS = {
-    "mul": ("vedic", "shift_add"),
-    "div": ("vedic", "restoring", "nonrestoring"),
-    "modpow": ("vedic", "restoring", "nonrestoring"),
-    "rsa_encrypt": ("vedic", "restoring", "nonrestoring"),
+    "mul": modexp.MULTIPLIERS,
+    "div": modexp.DIVIDERS,
+    "modpow": modexp.DIVIDERS,
+    "rsa_encrypt": modexp.DIVIDERS,
 }
 
 CSV_HEADER = "operation,algorithm,bits,iterations,total_ns,ns_per_op,operand_checksum"
@@ -90,14 +91,7 @@ class BenchConfig:
     def from_json_file(cls, path) -> "BenchConfig":
         with open(path) as fh:
             raw = json.load(fh)
-        allowed = {
-            "widths",
-            "iterations",
-            "seed",
-            "operations",
-            "algorithms",
-            "compare_backends",
-        }
+        allowed = {f.name for f in fields(cls)}
         unknown = set(raw) - allowed
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -167,17 +161,10 @@ class _Workload:
     def runner(self, algorithm: str):
         op = self.operation
         if op == "mul":
-            fn = {
-                "vedic": vedic_mul.multiply,
-                "shift_add": baseline_arith.shift_add_multiply,
-            }[algorithm]
+            fn = modexp.MULTIPLIERS[algorithm]
             return lambda args: fn(*args).digits
         if op == "div":
-            fn = {
-                "vedic": vedic_div.divide,
-                "restoring": baseline_arith.restoring_divide,
-                "nonrestoring": baseline_arith.nonrestoring_divide,
-            }[algorithm]
+            fn = modexp.DIVIDERS[algorithm]
 
             def run_div(args, fn=fn):
                 res = fn(*args)

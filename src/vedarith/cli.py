@@ -9,8 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import backend, baseline_arith, bench, modexp, numeral, rsa, selftest
-from . import vedic_div, vedic_mul
+from . import backend, bench, modexp, numeral, rsa, selftest, vedic_div
 from .modexp import Strategy
 from .numeral import Base
 
@@ -39,16 +38,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mul.add_argument("a")
     p_mul.add_argument("b")
     p_mul.add_argument("--base", type=_base_arg, default=Base.DEC)
-    p_mul.add_argument("--algo", choices=("vedic", "shift_add"), default="vedic")
+    p_mul.add_argument("--algo", choices=modexp.MULTIPLIERS, default="vedic")
     p_mul.set_defaults(func=_cmd_mul)
 
     p_div = sub.add_parser("div", help="divide, printing quotient and remainder")
     p_div.add_argument("x")
     p_div.add_argument("y")
     p_div.add_argument("--base", type=_base_arg, default=Base.DEC)
-    p_div.add_argument(
-        "--algo", choices=("vedic", "restoring", "nonrestoring"), default="vedic"
-    )
+    p_div.add_argument("--algo", choices=modexp.DIVIDERS, default="vedic")
     p_div.add_argument(
         "--trace", action="store_true", help="print one line per quotient digit"
     )
@@ -123,8 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_mul(args) -> int:
     a = numeral.parse(args.a, args.base)
     b = numeral.parse(args.b, args.base)
-    fn = vedic_mul.multiply if args.algo == "vedic" else baseline_arith.shift_add_multiply
-    print(numeral.format(fn(a, b)))
+    print(numeral.format(modexp.MULTIPLIERS[args.algo](a, b)))
     return 0
 
 
@@ -133,17 +129,12 @@ def _cmd_div(args) -> int:
         raise _UsageError("--trace is only available with --algo vedic")
     x = numeral.parse(args.x, args.base)
     y = numeral.parse(args.y, args.base)
-    if args.algo == "vedic":
-        if args.trace:
-            result, steps = vedic_div.divide_traced(x, y)
-            for step in steps:
-                print(step.as_line())
-        else:
-            result = vedic_div.divide(x, y)
-    elif args.algo == "restoring":
-        result = baseline_arith.restoring_divide(x, y)
+    if args.trace:
+        result, steps = vedic_div.divide_traced(x, y)
+        for step in steps:
+            print(step.as_line())
     else:
-        result = baseline_arith.nonrestoring_divide(x, y)
+        result = modexp.DIVIDERS[args.algo](x, y)
     print(f"q={numeral.format(result.quotient)} r={numeral.format(result.remainder)}")
     return 0
 

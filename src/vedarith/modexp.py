@@ -14,14 +14,13 @@ from dataclasses import dataclass
 from . import baseline_arith, numeral, vedic_div, vedic_mul
 from .numeral import Base, Natural, Ordering
 
-MULTIPLIERS = ("vedic", "shift_add")
-DIVIDERS = ("vedic", "restoring", "nonrestoring")
-
-_MUL_FNS = {
+# The algorithm registry: every name a Strategy, the bench or the CLI
+# accepts, mapped to its public function.
+MULTIPLIERS = {
     "vedic": vedic_mul.multiply,
     "shift_add": baseline_arith.shift_add_multiply,
 }
-_DIV_FNS = {
+DIVIDERS = {
     "vedic": vedic_div.divide,
     "restoring": baseline_arith.restoring_divide,
     "nonrestoring": baseline_arith.nonrestoring_divide,
@@ -42,10 +41,10 @@ class Strategy:
             raise ValueError(f"unknown divider {self.divider!r}")
 
     def multiply(self, a: Natural, b: Natural) -> Natural:
-        return _MUL_FNS[self.multiplier](a, b)
+        return MULTIPLIERS[self.multiplier](a, b)
 
     def divide(self, a: Natural, b: Natural) -> vedic_div.DivResult:
-        return _DIV_FNS[self.divider](a, b)
+        return DIVIDERS[self.divider](a, b)
 
 
 DEFAULT_STRATEGY = Strategy()

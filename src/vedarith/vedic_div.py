@@ -1,15 +1,17 @@
 """Straight (at-sight) division.
 
-Only the divisor's leading digit ever divides anything.  The remaining
-low digits form the "flag": their product with each quotient digit is
-owed against the following partial dividends.  A quotient digit is first
-estimated from the top of the running partial divided by the leading
-digit, then the adjust loop repairs overestimates by stepping the digit
-down and crediting the leading digit back to the running remainder.
+Only the divisor's leading digit ever divides anything: each quotient
+digit is estimated from the top of the running partial divided by that
+digit alone.  The remaining low digits form the "flag"; their product with
+the digit is owed by the partial too, so the kernel compares the partial
+with the whole multiple divisor * q and steps q down while the multiple
+exceeds it.  Those steps are the adjust count of the step; the multiple
+is then subtracted once.
 
 Divisors whose leading digit is small are scaled up by a single-digit
-factor first, which caps the adjust loop at two iterations per step; the
-remainder is de-scaled exactly at the end.
+factor first, which caps the adjust count at two per step; the remainder
+is de-scaled exactly at the end.  The kernels (`backend.kernels()`) do
+all of this on digit lists; this module converts to and from `Natural`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import backend, numeral
-from .numeral import DEFAULT_BASE, Base, Natural
+from .numeral import Natural
 
 
 @dataclass(frozen=True)
@@ -26,19 +28,6 @@ class DivResult:
 
     quotient: Natural
     remainder: Natural
-
-
-@dataclass(frozen=True)
-class SplitDivisor:
-    """Normalized divisor split into the dividing digit and the flag tail.
-
-    `main` is the most significant digit of divisor * scale; `flags` holds
-    the remaining digits, most significant first.
-    """
-
-    main: int
-    flags: tuple[int, ...]
-    scale: int
 
 
 @dataclass(frozen=True)
@@ -63,48 +52,6 @@ class DivisionStep:
             f"q_est={self.q_estimate} adjusts={self.adjustments} "
             f"q={self.q} r={self.r}"
         )
-
-
-def split_and_normalize(divisor: Natural) -> SplitDivisor:
-    """Scale the divisor so its leading digit is at least ceil(base/2) and
-    split off the flag digits.  The scale is always a single digit."""
-    if divisor.is_zero():
-        raise ZeroDivisionError("division by zero")
-    beta = int(divisor.base)
-    half = (beta + 1) // 2
-    leading = divisor.digits[-1]
-    scale = 1 if leading >= half else beta // (leading + 1)
-    scaled = _scale_by_digit(divisor, scale)
-    assert len(scaled) == len(divisor), "normalization must not grow the divisor"
-    digits_msb = tuple(reversed(scaled.digits))
-    return SplitDivisor(main=digits_msb[0], flags=digits_msb[1:], scale=scale)
-
-
-def adjust(
-    q: int,
-    r: int,
-    next_digit: int,
-    flags,
-    main: int,
-    base: Base = DEFAULT_BASE,
-) -> tuple[int, int]:
-    """Repair an overestimated quotient digit.
-
-    While the incoming partial (r * base + next_digit) cannot cover the
-    flag subtrahend owed at the current digit, step q down and credit the
-    dividing digit back to r.  Terminates because each iteration raises
-    the left side by main * base and lowers the right side; q stops at 0
-    in the worst case.  `flags` is the flag digit sequence, most
-    significant first.
-    """
-    beta = int(Base(base))
-    flag_value = 0
-    for f in flags:
-        flag_value = flag_value * beta + f
-    while q > 0 and r * beta + next_digit < flag_value * q:
-        q -= 1
-        r += main
-    return q, r
 
 
 def divide(dividend: Natural, divisor: Natural) -> DivResult:
@@ -141,18 +88,3 @@ def _divide_full(dividend: Natural, divisor: Natural, want_trace: bool):
     trace = tuple(DivisionStep(*row) for row in raw) if raw is not None else None
     return result, max_adjust, trace
 
-
-def _scale_by_digit(x: Natural, factor: int) -> Natural:
-    beta = int(x.base)
-    if not 0 < factor < beta:
-        raise ValueError("scale factor must be a single nonzero digit")
-    out = []
-    carry = 0
-    for d in x.digits:
-        t = d * factor + carry
-        out.append(t % beta)
-        carry = t // beta
-    while carry:
-        out.append(carry % beta)
-        carry //= beta
-    return Natural(tuple(out), x.base)

@@ -1,11 +1,17 @@
 """Shared helpers: integer oracles, seeded operand streams, backend-aware
-test sizing."""
+test sizing, and the compiled kernels."""
 
 from __future__ import annotations
 
+import importlib.util
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
+
 import pytest
 
-from vedarith import backend, numeral, selftest
+from vedarith import _pykernels, backend, numeral, selftest
 from vedarith.numeral import Base
 from vedarith.randgen import Lcg64
 
@@ -53,3 +59,31 @@ def toy_keypair():
     from vedarith import rsa
 
     return rsa.keygen(nat(61), nat(53), nat(17))
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The compiled twin: the installed backend when there is one, else
+    the shipped `_ckernels.c` built into a temporary directory.  The build
+    is loaded as a bare module and not registered as a backend, so the
+    default backend does not change; a test that needs it as a backend
+    registers it for itself."""
+    if "compiled" in backend.available():
+        return backend.available()["compiled"]
+    cc = shutil.which("gcc") or shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler to build the compiled kernels")
+    source = Path(_pykernels.__file__).with_name("_ckernels.c")
+    target = tmp_path_factory.mktemp("ckernels") / (
+        "_ckernels" + sysconfig.get_config_var("EXT_SUFFIX")
+    )
+    paths = sysconfig.get_paths()
+    includes = sorted({f"-I{paths['include']}", f"-I{paths['platinclude']}"})
+    subprocess.run(
+        [cc, "-O2", "-shared", "-fPIC", *includes, str(source), "-o", str(target)],
+        check=True,
+    )
+    spec = importlib.util.spec_from_file_location("vedarith._ckernels", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

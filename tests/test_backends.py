@@ -1,12 +1,7 @@
 """Differential tests: the compiled kernels must match the pure ones
 bit for bit, and the dispatcher must honor explicit selection."""
 
-import importlib.util
 import os
-import shutil
-import subprocess
-import sysconfig
-from pathlib import Path
 
 import pytest
 
@@ -17,33 +12,6 @@ compiled_available = "compiled" in backend.available()
 needs_compiled = pytest.mark.skipif(
     not compiled_available, reason="compiled kernels not built"
 )
-
-
-@pytest.fixture(scope="session")
-def compiled(tmp_path_factory):
-    """The compiled twin: the installed backend when there is one, else
-    the shipped `_ckernels.c` built into a temporary directory.  The build
-    is loaded as a bare module and never registered as a backend, so the
-    default backend does not change."""
-    if compiled_available:
-        return backend.available()["compiled"]
-    cc = shutil.which("gcc") or shutil.which("cc")
-    if cc is None:
-        pytest.skip("no C compiler to build the compiled kernels")
-    source = Path(_pykernels.__file__).with_name("_ckernels.c")
-    target = tmp_path_factory.mktemp("ckernels") / (
-        "_ckernels" + sysconfig.get_config_var("EXT_SUFFIX")
-    )
-    paths = sysconfig.get_paths()
-    includes = sorted({f"-I{paths['include']}", f"-I{paths['platinclude']}"})
-    subprocess.run(
-        [cc, "-O2", "-shared", "-fPIC", *includes, str(source), "-o", str(target)],
-        check=True,
-    )
-    spec = importlib.util.spec_from_file_location("vedarith._ckernels", target)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def to_int(digits, base):

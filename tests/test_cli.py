@@ -1,6 +1,6 @@
 import pytest
 
-from vedarith import cli, numeral, rsa, selftest
+from vedarith import cli, modexp, numeral, rsa, selftest
 from vedarith.numeral import Base
 
 
@@ -17,7 +17,7 @@ def test_div_golden_case(capsys):
 
 
 def test_div_baseline_algorithms(capsys):
-    for algo in ("restoring", "nonrestoring"):
+    for algo in modexp.DIVIDERS:
         code, out, _ = run(capsys, "div", "35001", "77", "--algo", algo)
         assert code == 0 and out == "q=454 r=43\n"
 
@@ -40,8 +40,9 @@ def test_div_trace_needs_vedic(capsys):
 def test_mul(capsys):
     code, out, _ = run(capsys, "mul", "ffff", "ffff", "--base", "16")
     assert code == 0 and out == "fffe0001\n"
-    code, out, _ = run(capsys, "mul", "454", "77", "--algo", "shift_add")
-    assert code == 0 and out == "34958\n"
+    for algo in modexp.MULTIPLIERS:
+        code, out, _ = run(capsys, "mul", "454", "77", "--algo", algo)
+        assert code == 0 and out == "34958\n"
 
 
 def test_modpow(capsys):

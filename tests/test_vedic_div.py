@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ALL_BASES, nat, scaled, val
-from vedarith import numeral, vedic_div, vedic_mul
+from vedarith import _pykernels, numeral, vedic_div, vedic_mul
 from vedarith.numeral import Base, BaseMismatchError, Ordering
 from vedarith.randgen import Lcg64
 
@@ -11,57 +11,64 @@ values = st.integers(min_value=0, max_value=1 << 120)
 divisors = st.integers(min_value=1, max_value=1 << 120)
 
 
-def test_split_and_normalize_examples():
-    split = vedic_div.split_and_normalize(numeral.parse("77", Base.DEC))
-    assert (split.main, split.flags, split.scale) == (7, (7,), 1)
-
-    split = vedic_div.split_and_normalize(numeral.parse("1", Base.HEX))
-    assert (split.main, split.flags, split.scale) == (8, (), 8)
-
-    split = vedic_div.split_and_normalize(numeral.parse("f3", Base.HEX))
-    assert (split.main, split.flags, split.scale) == (0xF, (3,), 1)
-
-
-def test_split_and_normalize_zero_divisor():
-    with pytest.raises(ZeroDivisionError):
-        vedic_div.split_and_normalize(numeral.zero(Base.HEX))
+def test_divisor_record_examples():
+    d = _pykernels._Divisor([7, 7], 10)  # 77
+    assert (d.main, d.scale) == (7, 1)
+    d = _pykernels._Divisor([1], 16)
+    assert (d.main, d.scale) == (8, 8)
+    d = _pykernels._Divisor([3, 15], 16)  # 0xf3
+    assert (d.main, d.scale) == (15, 1)
 
 
 @given(divisors, bases)
-def test_split_recombination_and_leading_digit_bound(d, base):
-    divisor = numeral.from_int(d, base)
-    split = vedic_div.split_and_normalize(divisor)
+def test_divisor_record_scale_and_leading_digit_bound(d, base):
+    ys = list(numeral.from_int(d, base).digits)
     beta = int(base)
-    flag_value = 0
-    for f in split.flags:
-        flag_value = flag_value * beta + f
-    recombined = split.main * beta ** len(split.flags) + flag_value
-    assert recombined == d * split.scale
-    assert split.main >= (beta + 1) // 2
-    assert 1 <= split.scale < beta
+    record = _pykernels._Divisor(ys, beta)
+    assert 1 <= record.scale < beta
+    assert record.main >= (beta + 1) // 2
+    assert len(record.dy) == len(ys)
+    assert sum(v * beta**i for i, v in enumerate(record.dy)) == d * record.scale
 
 
-def test_adjust_repairs_overestimate():
-    # worked example: estimate 5 with r=0 must drop to 4, crediting main
-    assert vedic_div.adjust(5, 0, 0, [7], 7, Base.DEC) == (4, 7)
+@given(values, divisors, bases)
+@settings(max_examples=60)
+def test_adjust_repairs_overestimate(a, b, base):
+    # the estimate never undershoots; each adjust steps it down by one
+    x, y = numeral.from_int(a, base), numeral.from_int(b, base)
+    _, trace = vedic_div.divide_traced(x, y)
+    for s in trace:
+        assert 0 <= s.q == s.q_estimate - s.adjustments < int(base)
+        assert s.adjustments <= 2
+
+
+@given(values, divisors, bases)
+@settings(max_examples=60)
+def test_adjust_stops_once_partial_is_covered(a, b, base):
+    # each step keeps the largest digit whose multiple the partial covers,
+    # so the traced digits spell out the true quotient
+    x, y = numeral.from_int(a, base), numeral.from_int(b, base)
+    _, trace = vedic_div.divide_traced(x, y)
+    spelled = 0
+    for s in trace:
+        spelled = spelled * int(base) + s.q
+    assert spelled == a // b
 
 
 def test_adjust_with_zero_flags_is_identity():
-    for q, r, nxt in [(5, 0, 0), (9, 3, 7), (0, 0, 0)]:
-        assert vedic_div.adjust(q, r, nxt, [0, 0], 7, Base.DEC) == (q, r)
-        assert vedic_div.adjust(q, r, nxt, [], 7, Base.DEC) == (q, r)
-
-
-def test_adjust_stops_once_partial_is_covered():
-    # oracle: 350 // 77 == 4 rem 42, so (q=4, r=7) already satisfies 70 >= 28
-    assert vedic_div.adjust(4, 7, 0, [7], 7, Base.DEC) == (4, 7)
-
-
-def test_adjust_never_goes_below_zero():
-    # degenerate main=0 cannot satisfy the guard by growing r; q must stop at 0
-    assert vedic_div.adjust(3, 0, 0, [9], 0, Base.DEC) == (0, 0)
-    # with a real (normalized) main the loop terminates on its own first
-    assert vedic_div.adjust(3, 0, 0, [9], 5, Base.DEC) == (2, 5)
+    # every digit below the (scaled) leading one is zero: nothing is owed,
+    # so the estimate K // main is always the quotient digit
+    rng = Lcg64(0xF1A6)
+    for text, base in [
+        ("700", Base.DEC), ("300", Base.DEC), ("3", Base.DEC),
+        ("80", Base.HEX), ("1", Base.HEX), ("100", Base.HEX),
+    ]:
+        y = numeral.parse(text, base)
+        for _ in range(50):
+            a = rng.bits(rng.below(64) + 1)
+            res, trace = vedic_div.divide_traced(numeral.from_int(a, base), y)
+            assert (val(res.quotient), val(res.remainder)) == divmod(a, val(y))
+            assert all(s.adjustments == 0 for s in trace)
 
 
 def test_golden_division():
@@ -159,7 +166,7 @@ def test_normalization_transparency():
             a = rng.bits(rng.below(64) + 1)
             b = rng.bits(rng.below(48) + 1) or 1
             x, y = numeral.from_int(a, base), numeral.from_int(b, base)
-            s = vedic_div.split_and_normalize(y).scale
+            s = _pykernels._Divisor(list(y.digits), beta).scale
             plain = vedic_div.divide(x, y)
             ns = numeral.from_int(s, base)
             scaled_res = vedic_div.divide(
