@@ -2,7 +2,7 @@
 
 The package is fully functional without the extension (pure-Python kernels
 are selected at import time); the build therefore degrades gracefully when
-Cython or a C toolchain is unavailable.
+no C toolchain is available.
 """
 
 from setuptools import Extension, setup
@@ -34,20 +34,7 @@ class optional_build_ext(build_ext):
         )
 
 
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    return cythonize(
-        [Extension("vedarith._ckernels", ["src/vedarith/_ckernels.pyx"])],
-        compiler_directives={
-            "language_level": 3,
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-        },
-    )
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": optional_build_ext})
+setup(
+    ext_modules=[Extension("vedarith._ckernels", ["src/vedarith/_ckernels.c"])],
+    cmdclass={"build_ext": optional_build_ext},
+)

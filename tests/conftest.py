@@ -64,10 +64,11 @@ def toy_keypair():
 @pytest.fixture(scope="session")
 def compiled(tmp_path_factory):
     """The compiled twin: the installed backend when there is one, else
-    the shipped `_ckernels.c` built into a temporary directory.  The build
-    is loaded as a bare module and not registered as a backend, so the
-    default backend does not change; a test that needs it as a backend
-    registers it for itself."""
+    the shipped `_ckernels.c` built into a temporary directory, where any
+    compiler warning fails the build.  The build is loaded as a bare
+    module and not registered as a backend, so the default backend does
+    not change; a test that needs it as a backend registers it for
+    itself."""
     if "compiled" in backend.available():
         return backend.available()["compiled"]
     cc = shutil.which("gcc") or shutil.which("cc")
@@ -79,10 +80,8 @@ def compiled(tmp_path_factory):
     )
     paths = sysconfig.get_paths()
     includes = sorted({f"-I{paths['include']}", f"-I{paths['platinclude']}"})
-    subprocess.run(
-        [cc, "-O2", "-shared", "-fPIC", *includes, str(source), "-o", str(target)],
-        check=True,
-    )
+    flags = ["-O2", "-Wall", "-Werror", "-shared", "-fPIC", *includes]
+    subprocess.run([cc, *flags, str(source), "-o", str(target)], check=True)
     spec = importlib.util.spec_from_file_location("vedarith._ckernels", target)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

@@ -1,17 +1,12 @@
 """Differential tests: the compiled kernels must match the pure ones
 bit for bit, and the dispatcher must honor explicit selection."""
 
-import os
+import tracemalloc
 
 import pytest
 
 from vedarith import _pykernels, backend
 from vedarith.randgen import Lcg64
-
-compiled_available = "compiled" in backend.available()
-needs_compiled = pytest.mark.skipif(
-    not compiled_available, reason="compiled kernels not built"
-)
 
 
 def to_int(digits, base):
@@ -46,11 +41,10 @@ def test_use_switches_and_restores():
             pass
 
 
-@needs_compiled
-def test_compiled_is_default_when_built():
-    if os.environ.get("VEDARITH_BACKEND"):
-        pytest.skip("backend pinned by environment")
-    assert backend.active_name() == "compiled"
+def test_compiled_is_default_when_built(compiled, monkeypatch):
+    monkeypatch.setitem(backend._BACKENDS, "compiled", compiled)
+    monkeypatch.delenv("VEDARITH_BACKEND", raising=False)
+    assert backend._initial() is compiled
 
 
 def test_kernels_agree_on_random_digit_lists(compiled):
@@ -99,13 +93,66 @@ def test_kernels_agree_on_edge_shapes(compiled):
         ([15] * 8, [15] * 8, 16),
         ([255] * 6, [255, 255], 256),
         ([1], [9, 9], 10),
+        ([9, 9], [1, 0, 1], 10),  # scaling lengthens the dividend to the divisor
+        ([1, 0, 1], [1, 1, 1, 1, 1], 2),
+        ([255] * 300, [255] * 300, 256),
+        ([255] * 300, [255] * 7, 256),
+        ([1] * 1000, [1] * 1000, 2),
+        ([1] * 1000, [1] * 13, 2),
     ]
     for xs, ys, base in cases:
-        assert compiled.mul_vedic(xs, ys, base) == _pykernels.mul_vedic(xs, ys, base)
-        if ys:
-            assert compiled.div_straight(xs, ys, base, True) == _pykernels.div_straight(
-                xs, ys, base, True
-            )
+        for name in ("mul_vedic", "mul_shift_add"):
+            got = getattr(compiled, name)(xs, ys, base)
+            assert got == getattr(_pykernels, name)(xs, ys, base), (name, base)
+        if not ys:
+            continue
+        got = compiled.div_straight(xs, ys, base, True)
+        assert got == _pykernels.div_straight(xs, ys, base, True), base
+        if base == 2:
+            for name in ("div_restoring", "div_nonrestoring"):
+                got = getattr(compiled, name)(xs, ys)
+                assert got == getattr(_pykernels, name)(xs, ys), name
+
+
+def test_compiled_kernels_do_not_leak(compiled):
+    xs, ys = [7, 1, 9, 2, 4, 8, 3], [3, 2]  # ys is scaled in base 10
+    bits, ybits = [1, 0, 1, 1, 0, 1, 1, 1], [1, 0, 1]
+
+    def calls():
+        compiled.mul_vedic(xs, ys, 10)
+        compiled.mul_shift_add(xs, ys, 10)
+        compiled.div_straight(xs, ys, 10)
+        compiled.div_straight(xs, ys, 10, True)
+        compiled.div_straight(ys, xs, 10, True)  # dividend shorter: early return
+        compiled.div_restoring(bits, ybits)
+        compiled.div_nonrestoring(bits, ybits)
+        for kernel, args, error in (
+            (compiled.div_straight, (xs, [], 10), ZeroDivisionError),
+            (compiled.div_restoring, (bits, []), ZeroDivisionError),
+            (compiled.mul_vedic, (xs, [3, -2], 10), OverflowError),
+            (compiled.mul_shift_add, (xs, [3, -2], 10), OverflowError),
+            (compiled.div_straight, ([7, -1], ys, 10, True), OverflowError),
+            (compiled.div_nonrestoring, (bits, [1, -1]), OverflowError),
+        ):
+            # plain try: pytest.raises keeps state that tracemalloc counts
+            try:
+                kernel(*args)
+            except error:
+                pass
+            else:
+                raise AssertionError(f"{kernel.__name__} did not raise {error}")
+
+    for _ in range(100):
+        calls()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(10_000):
+            calls()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown <= 4096, f"traced memory grew by {grown} bytes"
 
 
 def test_division_by_zero_raised_by_kernels():
