@@ -3,10 +3,12 @@
    Function-for-function twin of `_pykernels`: same canonical
    little-endian digit lists in and out, same digit-serial algorithms,
    bit-identical results.  Digits fit comfortably in 64-bit words
-   (base <= 256), so every column accumulator and carry stays well inside
-   u64 range.  As in the pure twin, nothing here checks that base >= 2
-   and that every digit is below it: the `Natural` boundary does, and the
-   buffer sizes below rely on it.
+   (base <= MAX_BASE; `Natural` uses at most 256), so every column
+   accumulator and carry stays well inside u64 range.  The buffer sizes
+   below rely on that and on every digit being below the base, so unlike
+   the pure twin, which trusts the `Natural` boundary, this one raises
+   ValueError on a base outside 2..MAX_BASE, or on a digit (bit) not below
+   its base, before any digit is used.
 
    A plain CPython extension, written by hand against the C API (see
    "Extending Python with C or C++" in the Python documentation).  Build
@@ -18,6 +20,10 @@
 #include <string.h>
 
 typedef unsigned long long u64;
+
+/* Column sums of n products of digits below 2**16 stay below n * 2**32,
+   which no list that fits in memory can push past u64. */
+#define MAX_BASE ((u64)1 << 16)
 
 /* --- digit buffers ------------------------------------------------------- */
 
@@ -44,15 +50,41 @@ as_u64(PyObject *obj, void *out)
     return 1;
 }
 
-/* The digits of a list in a fresh buffer with `spare` zeroed slots after
-   them, or NULL with an error set. */
+/* "O&" converter: a base in 2..MAX_BASE, else ValueError. */
+static int
+as_base(PyObject *obj, void *out)
+{
+    if (!as_u64(obj, out))
+        return 0;
+    if (*(u64 *)out < 2 || *(u64 *)out > MAX_BASE) {
+        PyErr_Format(PyExc_ValueError, "base must be in 2..%llu", MAX_BASE);
+        return 0;
+    }
+    return 1;
+}
+
+/* A digit below `base`, else 0 with an error set. */
+static int
+as_digit(PyObject *obj, u64 base, u64 *out)
+{
+    if (!as_u64(obj, out))
+        return 0;
+    if (*out < base)
+        return 1;
+    PyErr_Format(PyExc_ValueError, "digit %llu is not below base %llu", *out,
+                 base);
+    return 0;
+}
+
+/* The digits of a list, each below `base`, in a fresh buffer with `spare`
+   zeroed slots after them, or NULL with an error set. */
 static u64 *
-from_list(PyObject *list, Py_ssize_t spare)
+from_list(PyObject *list, Py_ssize_t spare, u64 base)
 {
     Py_ssize_t i, n = PyList_GET_SIZE(list);
     u64 *p = alloc_digits(n + spare);
     for (i = 0; p != NULL && i < n; i++) {
-        if (!as_u64(PyList_GET_ITEM(list, i), &p[i])) {
+        if (!as_digit(PyList_GET_ITEM(list, i), base, &p[i])) {
             PyMem_Free(p);
             p = NULL;
         }
@@ -237,13 +269,13 @@ multiply(PyObject *args, const char *format, product_fn product)
     Py_ssize_t m, n;
 
     if (!PyArg_ParseTuple(args, format, &PyList_Type, &xs, &PyList_Type, &ys,
-                          as_u64, &base))
+                          as_base, &base))
         return NULL;
     m = PyList_GET_SIZE(xs);
     n = PyList_GET_SIZE(ys);
     if (m == 0 || n == 0)
         return PyList_New(0);
-    if ((x = from_list(xs, 0)) && (y = from_list(ys, 0))
+    if ((x = from_list(xs, 0, base)) && (y = from_list(ys, 0, base))
         && (out = alloc_digits(m + n)))
         result = to_list(out, trim(out, product(x, m, y, n, base, out)));
     PyMem_Free(x);
@@ -289,7 +321,7 @@ div_straight(PyObject *self, PyObject *args)
     int want_trace = 0, adj, max_adjust = 0, rc;
 
     if (!PyArg_ParseTuple(args, "O!O!O&|p:div_straight", &PyList_Type, &xs,
-                          &PyList_Type, &ys, as_u64, &base, &want_trace))
+                          &PyList_Type, &ys, as_base, &base, &want_trace))
         return NULL;
     M = PyList_GET_SIZE(ys);
     L = PyList_GET_SIZE(xs);
@@ -298,7 +330,7 @@ div_straight(PyObject *self, PyObject *args)
         return NULL;
     }
     if ((want_trace && !(trace = PyList_New(0)))
-        || !(dy = from_list(ys, 1)) || !(dx = from_list(xs, 1))
+        || !(dy = from_list(ys, 1, base)) || !(dx = from_list(xs, 1, base))
         || !(W = alloc_digits(M + 2)) || !(SUB = alloc_digits(M + 2)))
         goto done;
     /* normalize both operands in place */
@@ -398,7 +430,7 @@ bit_divide(PyObject *args, const char *format, int restoring)
         PyErr_SetString(PyExc_ZeroDivisionError, "division by zero");
         return NULL;
     }
-    if (!(x = from_list(xs, 0)) || !(y = from_list(ys, 0))
+    if (!(x = from_list(xs, 0, 2)) || !(y = from_list(ys, 0, 2))
         || !(R = alloc_digits(ny + 2)) || !(Q = alloc_digits(n)))
         goto done;
     for (i = n - 1; i >= 0; i--) {

@@ -17,29 +17,12 @@ from .vedic_div import DivResult
 
 def restoring_divide(dividend: Natural, divisor: Natural) -> DivResult:
     """Bit-serial restoring division (subtract, restore on underflow)."""
-    result, _ = _bit_divide(dividend, divisor, "div_restoring")
-    return result
-
-
-def restoring_divide_stats(
-    dividend: Natural, divisor: Natural
-) -> tuple[DivResult, int]:
-    """Also reports the subtract-attempt count, which is exactly the bit
-    length of the dividend."""
     return _bit_divide(dividend, divisor, "div_restoring")
 
 
 def nonrestoring_divide(dividend: Natural, divisor: Natural) -> DivResult:
     """Bit-serial non-restoring division (alternate add/subtract, one final
     add-back when the last partial is negative)."""
-    result, _ = _bit_divide(dividend, divisor, "div_nonrestoring")
-    return result
-
-
-def nonrestoring_divide_stats(
-    dividend: Natural, divisor: Natural
-) -> tuple[DivResult, int]:
-    """Also reports the add/subtract step count."""
     return _bit_divide(dividend, divisor, "div_nonrestoring")
 
 
@@ -50,15 +33,13 @@ def shift_add_multiply(x: Natural, y: Natural) -> Natural:
     return numeral._from_canonical(tuple(out), base)
 
 
-def _bit_divide(
-    dividend: Natural, divisor: Natural, kernel: str
-) -> tuple[DivResult, int]:
+def _bit_divide(dividend: Natural, divisor: Natural, kernel: str) -> DivResult:
     """Run the named bit-serial kernel of the active backend on base-2
     copies of the operands; the result comes back in their base."""
     base = numeral.same_base(dividend, divisor)
     if divisor.is_zero():
         raise ZeroDivisionError("division by zero")
-    q, r, count = getattr(backend.kernels(), kernel)(
+    q, r, _ = getattr(backend.kernels(), kernel)(
         numeral.to_bits(dividend), numeral.to_bits(divisor)
     )
-    return DivResult(numeral.from_bits(q, base), numeral.from_bits(r, base)), count
+    return DivResult(numeral.from_bits(q, base), numeral.from_bits(r, base))

@@ -57,39 +57,6 @@ def all_strategies() -> tuple[Strategy, ...]:
     )
 
 
-@dataclass(frozen=True)
-class ExponentScan:
-    """Exponent bits, most significant first; empty for exponent zero."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.bits and self.bits[0] != 1:
-            raise ValueError("nonzero exponent must start with a 1 bit")
-
-    @classmethod
-    def from_natural(cls, b: Natural) -> "ExponentScan":
-        return cls(tuple(reversed(numeral.to_bits(b))))
-
-    @property
-    def bit_length(self) -> int:
-        return len(self.bits)
-
-    @property
-    def popcount(self) -> int:
-        return sum(self.bits)
-
-
-@dataclass(frozen=True)
-class ModPowCounts:
-    """Modular multiplications performed: squarings plus conditional
-    multiplies; the leading exponent bit is absorbed by initializing the
-    accumulator to the base."""
-
-    squarings: int
-    multiplies: int
-
-
 def mod_reduce(a: Natural, n: Natural, strategy: Strategy = DEFAULT_STRATEGY) -> Natural:
     """Remainder of a by n, using the strategy's divider."""
     if n.is_zero():
@@ -118,18 +85,8 @@ def mod_pow(
     literal: bool = False,
 ) -> Natural:
     """a**b mod n by scanning exponent bits from the most significant end."""
-    if literal:
-        value, _ = _literal_pow(a, b, n, strategy, want_trace=False)
-        return value
-    value, _, _ = _fast_pow(a, b, n, strategy, want_trace=False)
+    value, _ = _ladder(a, b, n, strategy, literal, want_trace=False)
     return value
-
-
-def mod_pow_counted(
-    a: Natural, b: Natural, n: Natural, strategy: Strategy = DEFAULT_STRATEGY
-) -> tuple[Natural, ModPowCounts]:
-    value, counts, _ = _fast_pow(a, b, n, strategy, want_trace=False)
-    return value, counts
 
 
 def mod_pow_traced(
@@ -140,10 +97,7 @@ def mod_pow_traced(
     literal: bool = False,
 ) -> tuple[Natural, tuple[str, ...]]:
     """Result plus one trace line per step (bit index, operation, value)."""
-    if literal:
-        value, trace = _literal_pow(a, b, n, strategy, want_trace=True)
-        return value, tuple(trace)
-    value, _, trace = _fast_pow(a, b, n, strategy, want_trace=True)
+    value, trace = _ladder(a, b, n, strategy, literal, want_trace=True)
     return value, tuple(trace)
 
 
@@ -152,59 +106,41 @@ def _check_modulus(n: Natural) -> None:
         raise ValueError("modulus must be greater than 1")
 
 
-def _fast_pow(a: Natural, b: Natural, n: Natural, strategy, want_trace: bool):
-    """Square-and-multiply with the redundant leading squaring removed:
-    the accumulator starts at a (reduced), so squarings = bitlen(b) - 1 and
-    conditional multiplies = popcount(b) - 1."""
+def _ladder(
+    a: Natural, b: Natural, n: Natural, strategy, literal: bool, want_trace: bool
+):
+    """Square-and-multiply over the exponent bits j = top .. 0: one
+    squaring per bit, then one multiply by a when bit j is set.
+
+    The fast variant starts the accumulator at a (reduced) in place of the
+    leading bit, so squarings = bitlen(b) - 1 and multiplies =
+    popcount(b) - 1.  The literal variant is the unoptimized one: it
+    starts at 1 and squares on every bit, including the leading one, and
+    its trace lines carry the bookkeeping variable l exactly as printed
+    (l = 2*j, then l = l+1 on set bits), which never influences the
+    result."""
     _check_modulus(n)
     numeral.same_base(a, n)
-    scan = ExponentScan.from_natural(b)
+    bits = numeral.to_bits(b)  # bits[j] is exponent bit j
+    k = len(bits) - 1
     trace: list | None = [] if want_trace else None
-    if not scan.bits:
-        return numeral.one(n.base), ModPowCounts(0, 0), trace
+    if k < 0:
+        return numeral.one(n.base), trace
     base_val = mod_reduce(a, n, strategy)
-    m = base_val
-    k = scan.bit_length - 1
-    if want_trace:
-        trace.append(f"j={k} op=init m={numeral.format(m)}")
-    squarings = 0
-    multiplies = 0
-    for idx, bit in enumerate(scan.bits[1:], start=1):
-        j = k - idx
-        m = mod_mul(m, m, n, strategy)
-        squarings += 1
+    if literal:
+        m, top = numeral.one(n.base), k
+    else:
+        m, top = base_val, k - 1
         if want_trace:
-            trace.append(f"j={j} op=square m={numeral.format(m)}")
-        if bit:
-            m = mod_mul(m, base_val, n, strategy)
-            multiplies += 1
-            if want_trace:
-                trace.append(f"j={j} op=multiply m={numeral.format(m)}")
-    return m, ModPowCounts(squarings, multiplies), trace
-
-
-def _literal_pow(a: Natural, b: Natural, n: Natural, strategy, want_trace: bool):
-    """The unoptimized variant: m starts at 1 and every bit is squared,
-    including the leading one.  The bookkeeping variable l is carried along
-    exactly as printed (l = 2*j, then l = l+1 on set bits) even though it
-    never influences the result."""
-    _check_modulus(n)
-    numeral.same_base(a, n)
-    scan = ExponentScan.from_natural(b)
-    trace: list | None = [] if want_trace else None
-    base_val = mod_reduce(a, n, strategy)
-    m = numeral.one(n.base)
-    l = 0
-    k = scan.bit_length - 1
-    for idx, bit in enumerate(scan.bits):
-        j = k - idx
-        l = 2 * j
+            trace.append(f"j={k} op=init m={numeral.format(m)}")
+    for j in range(top, -1, -1):
         m = mod_mul(m, m, n, strategy)
         if want_trace:
-            trace.append(f"j={j} l={l} op=square m={numeral.format(m)}")
-        if bit:
-            l = l + 1
+            l = f" l={2 * j}" if literal else ""
+            trace.append(f"j={j}{l} op=square m={numeral.format(m)}")
+        if bits[j]:
             m = mod_mul(m, base_val, n, strategy)
             if want_trace:
-                trace.append(f"j={j} l={l} op=multiply m={numeral.format(m)}")
+                l = f" l={2 * j + 1}" if literal else ""
+                trace.append(f"j={j}{l} op=multiply m={numeral.format(m)}")
     return m, trace

@@ -67,9 +67,10 @@ def division_agreement_small() -> SuiteResult:
     for x, nx in enumerate(dividends):
         for y, ny in divisors:
             want = (x // y, x % y)
-            res_v, adj = vedic_div.divide_stats(nx, ny)
-            if adj > max_adjust:
-                max_adjust = adj
+            res_v, steps = vedic_div.divide_traced(nx, ny)
+            for step in steps:
+                if step.adjustments > max_adjust:
+                    max_adjust = step.adjustments
             got_v = (numeral.to_int(res_v.quotient), numeral.to_int(res_v.remainder))
             res_r = baseline_arith.restoring_divide(nx, ny)
             got_r = (numeral.to_int(res_r.quotient), numeral.to_int(res_r.remainder))

@@ -56,29 +56,22 @@ class DivisionStep:
 
 def divide(dividend: Natural, divisor: Natural) -> DivResult:
     """Straight division; Euclidean identity and remainder bound hold."""
-    result, _, _ = _divide_full(dividend, divisor, want_trace=False)
+    result, _ = _divide_full(dividend, divisor, want_trace=False)
     return result
-
-
-def divide_stats(dividend: Natural, divisor: Natural) -> tuple[DivResult, int]:
-    """Like divide, also reporting the worst adjust-loop count of any step."""
-    result, max_adjust, _ = _divide_full(dividend, divisor, want_trace=False)
-    return result, max_adjust
 
 
 def divide_traced(
     dividend: Natural, divisor: Natural
 ) -> tuple[DivResult, tuple[DivisionStep, ...]]:
     """Like divide, also returning one DivisionStep per quotient column."""
-    result, _, trace = _divide_full(dividend, divisor, want_trace=True)
-    return result, trace
+    return _divide_full(dividend, divisor, want_trace=True)
 
 
 def _divide_full(dividend: Natural, divisor: Natural, want_trace: bool):
     base = numeral.same_base(dividend, divisor)
     if divisor.is_zero():
         raise ZeroDivisionError("division by zero")
-    q, r, max_adjust, raw = backend.kernels().div_straight(
+    q, r, _, raw = backend.kernels().div_straight(
         list(dividend.digits), list(divisor.digits), int(base), want_trace
     )
     result = DivResult(
@@ -86,5 +79,4 @@ def _divide_full(dividend: Natural, divisor: Natural, want_trace: bool):
         numeral._from_canonical(tuple(r), base),
     )
     trace = tuple(DivisionStep(*row) for row in raw) if raw is not None else None
-    return result, max_adjust, trace
-
+    return result, trace

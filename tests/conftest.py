@@ -63,14 +63,12 @@ def toy_keypair():
 
 @pytest.fixture(scope="session")
 def compiled(tmp_path_factory):
-    """The compiled twin: the installed backend when there is one, else
-    the shipped `_ckernels.c` built into a temporary directory, where any
-    compiler warning fails the build.  The build is loaded as a bare
-    module and not registered as a backend, so the default backend does
-    not change; a test that needs it as a backend registers it for
-    itself."""
-    if "compiled" in backend.available():
-        return backend.available()["compiled"]
+    """The compiled twin, always built from the shipped `_ckernels.c` into
+    a temporary directory, where any compiler warning fails the build; an
+    installed build is not used, so an edited source is always the one
+    checked.  The build is loaded as a bare module and not registered as a
+    backend, so the default backend does not change; a test that needs it
+    as a backend registers it for itself."""
     cc = shutil.which("gcc") or shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler to build the compiled kernels")

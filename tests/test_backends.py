@@ -133,6 +133,7 @@ def test_compiled_kernels_do_not_leak(compiled):
             (compiled.mul_shift_add, (xs, [3, -2], 10), OverflowError),
             (compiled.div_straight, ([7, -1], ys, 10, True), OverflowError),
             (compiled.div_nonrestoring, (bits, [1, -1]), OverflowError),
+            (compiled.div_straight, (xs, [9999, 1], 10, True), ValueError),
         ):
             # plain try: pytest.raises keeps state that tracemalloc counts
             try:
@@ -153,6 +154,24 @@ def test_compiled_kernels_do_not_leak(compiled):
     finally:
         tracemalloc.stop()
     assert grown <= 4096, f"traced memory grew by {grown} bytes"
+
+
+def test_compiled_kernels_reject_out_of_range_input(compiled):
+    # input the buffer sizes do not allow for: a digit not below the base,
+    # a base below 2 or above 2**16, a bit above 1
+    for kernel, args in (
+        (compiled.div_straight, ([1], [9999, 1], 10)),
+        (compiled.div_straight, ([5], [3], 0)),
+        (compiled.div_straight, ([5], [3], 1)),
+        (compiled.mul_vedic, ([1], [1], 0)),
+        (compiled.mul_shift_add, ([1], [1], 0)),
+        (compiled.mul_vedic, ([1], [1], 1 << 17)),
+        (compiled.mul_vedic, ([10], [1], 10)),
+        (compiled.div_restoring, ([2], [1])),
+        (compiled.div_nonrestoring, ([1], [1, 3])),
+    ):
+        with pytest.raises(ValueError):
+            kernel(*args)
 
 
 def test_division_by_zero_raised_by_kernels():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ALL_BASES, nat, repeated_subtraction_divmod, scaled, val
-from vedarith import baseline_arith, numeral, vedic_div, vedic_mul
+from vedarith import backend, baseline_arith, numeral, vedic_div, vedic_mul
 from vedarith.numeral import Base, BaseMismatchError
 from vedarith.randgen import Lcg64
 
@@ -57,16 +57,15 @@ def test_base_mismatch():
 
 
 def test_subtract_attempt_count_is_dividend_bit_length():
+    kernels = backend.kernels()
     rng = Lcg64(3)
     for _ in range(300):
         a = rng.bits(rng.below(120) + 1)
         b = rng.bits(rng.below(60) + 1) or 1
-        _, attempts = baseline_arith.restoring_divide_stats(nat(a), nat(b))
-        assert attempts == a.bit_length()
-        _, steps = baseline_arith.nonrestoring_divide_stats(nat(a), nat(b))
-        assert steps == a.bit_length()
-    _, attempts = baseline_arith.restoring_divide_stats(numeral.zero(Base.HEX), nat(9))
-    assert attempts == 0
+        xs, ys = numeral.to_bits(nat(a)), numeral.to_bits(nat(b))
+        assert kernels.div_restoring(xs, ys)[2] == a.bit_length()
+        assert kernels.div_nonrestoring(xs, ys)[2] == a.bit_length()
+    assert kernels.div_restoring([], [1, 0, 0, 1])[2] == 0
 
 
 def test_results_come_back_in_the_callers_base():

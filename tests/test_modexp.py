@@ -2,7 +2,7 @@ import pytest
 
 from conftest import nat, scaled, val
 from vedarith import modexp, numeral
-from vedarith.modexp import ExponentScan, Strategy
+from vedarith.modexp import Strategy
 from vedarith.numeral import Base
 from vedarith.randgen import Lcg64
 
@@ -22,16 +22,6 @@ def test_strategy_validation():
     with pytest.raises(ValueError):
         Strategy("vedic", "srt")
     assert len(modexp.all_strategies()) == 6
-
-
-def test_exponent_scan():
-    assert ExponentScan.from_natural(numeral.zero(Base.HEX)).bits == ()
-    scan = ExponentScan.from_natural(nat(0b10110))
-    assert scan.bits == (1, 0, 1, 1, 0)
-    assert scan.bit_length == 5
-    assert scan.popcount == 3
-    with pytest.raises(ValueError):
-        ExponentScan((0, 1))
 
 
 def test_mod_reduce_examples():
@@ -110,7 +100,15 @@ def test_mod_pow_modulus_validation():
         modexp.mod_pow(nat(5), nat(3), numeral.zero(Base.HEX))
 
 
-def test_mod_pow_multiplication_count_contract():
+def test_mod_pow_multiplication_count_contract(monkeypatch):
+    counts = {"square": 0, "multiply": 0}
+    mod_mul = modexp.mod_mul
+
+    def counting_mod_mul(x, y, n, strategy):
+        counts["square" if x is y else "multiply"] += 1
+        return mod_mul(x, y, n, strategy)
+
+    monkeypatch.setattr(modexp, "mod_mul", counting_mod_mul)
     rng = Lcg64(47)
     for _ in range(300):
         b = rng.bits(rng.below(40) + 1)
@@ -118,13 +116,13 @@ def test_mod_pow_multiplication_count_contract():
         n = rng.bits(24) | 1
         if n <= 1:
             continue
-        value, counts = modexp.mod_pow_counted(nat(a), nat(b), nat(n))
-        assert val(value) == pow(a, b, n)
+        counts.update(square=0, multiply=0)
+        assert val(modexp.mod_pow(nat(a), nat(b), nat(n))) == pow(a, b, n)
         if b == 0:
-            assert counts == modexp.ModPowCounts(0, 0)
+            assert counts == {"square": 0, "multiply": 0}
         else:
-            assert counts.squarings == b.bit_length() - 1
-            assert counts.multiplies == bin(b).count("1") - 1
+            assert counts["square"] == b.bit_length() - 1
+            assert counts["multiply"] == bin(b).count("1") - 1
 
 
 def test_mod_pow_strategy_invariance():
@@ -152,21 +150,39 @@ def test_literal_variant_matches_fast_path():
 
 
 def test_traces():
-    value, lines = modexp.mod_pow_traced(nat(65), nat(17), nat(3233))
+    # the lines the CLI prints, so in base 10
+    a, n = nat(65, Base.DEC), nat(3233, Base.DEC)
+    value, lines = modexp.mod_pow_traced(a, nat(17, Base.DEC), n)
     assert val(value) == 2790
     # one init line, then bitlen-1 squares and popcount-1 multiplies
-    assert len(lines) == 1 + 4 + 1
-    assert lines[0].startswith("j=4 op=init")
-    assert all(" m=" in line for line in lines)
+    assert lines == (
+        "j=4 op=init m=65",
+        "j=3 op=square m=992",
+        "j=2 op=square m=1232",
+        "j=1 op=square m=1547",
+        "j=0 op=square m=789",
+        "j=0 op=multiply m=2790",
+    )
 
-    value, lines = modexp.mod_pow_traced(nat(65), nat(17), nat(3233), literal=True)
+    value, lines = modexp.mod_pow_traced(a, nat(17, Base.DEC), n, literal=True)
     assert val(value) == 2790
-    # the literal variant squares on every bit, including the leading one
-    assert len(lines) == 5 + 2
-    # bookkeeping variable is carried exactly as printed: l = 2*j, then +1
-    assert lines[0].startswith("j=4 l=8 op=square")
-    assert lines[1] == f"j=4 l=9 op=multiply m={numeral.format(modexp.mod_reduce(nat(65), nat(3233)))}"
-    assert lines[-1].startswith("j=0 l=1 op=multiply")
+    # the literal variant squares on every bit, including the leading one,
+    # and carries the bookkeeping variable exactly as printed: l = 2*j, then +1
+    assert lines == (
+        "j=4 l=8 op=square m=1",
+        "j=4 l=9 op=multiply m=65",
+        "j=3 l=6 op=square m=992",
+        "j=2 l=4 op=square m=1232",
+        "j=1 l=2 op=square m=1547",
+        "j=0 l=0 op=square m=789",
+        "j=0 l=1 op=multiply m=2790",
+    )
+
+    value, lines = modexp.mod_pow_traced(a, nat(0, Base.DEC), n, literal=True)
+    assert (val(value), lines) == (1, ())
+    value, lines = modexp.mod_pow_traced(a, nat(1, Base.DEC), n, literal=True)
+    assert val(value) == 65
+    assert lines == ("j=0 l=0 op=square m=1", "j=0 l=1 op=multiply m=65")
 
 
 def test_mod_pow_accepts_exponent_in_any_base():

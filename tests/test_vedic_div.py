@@ -133,9 +133,9 @@ def test_exhaustive_small_domain():
     for x in range(cases):
         nx = naturals[x]
         for y, ny in divisors_:
-            res, adj = vedic_div.divide_stats(nx, ny)
+            res, trace = vedic_div.divide_traced(nx, ny)
             assert (val(res.quotient), val(res.remainder)) == divmod(x, y)
-            assert adj <= 2
+            assert max((s.adjustments for s in trace), default=0) <= 2
 
 
 @given(values, divisors, bases)
@@ -153,9 +153,9 @@ def test_random_wide_operands_against_oracle_with_adjust_bound():
     for _ in range(scaled(20_000, 1_000)):
         a = rng.bits(rng.below(256) + 1)
         b = rng.bits(rng.below(200) + 1) or 1
-        res, adj = vedic_div.divide_stats(nat(a), nat(b))
+        res, trace = vedic_div.divide_traced(nat(a), nat(b))
         assert (val(res.quotient), val(res.remainder)) == divmod(a, b)
-        assert adj <= 2
+        assert max((s.adjustments for s in trace), default=0) <= 2
 
 
 def test_normalization_transparency():
