@@ -16,6 +16,8 @@ normalizes it once and builds each row once.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 NAME = "pure"
 
 
@@ -131,18 +133,15 @@ class _Divisor:
 
     `scale` is the single-digit factor that lifts the leading digit to at
     least ceil(base/2), `dy` the scaled digits, `main` their leading digit,
-    and `rows[q]` the subtrahend dy*q, None until first needed.  `key` is
-    a private copy of the caller's digits, so a caller that later mutates
-    its list cannot make a stale record match.
+    and `rows[q]` the subtrahend dy*q, None until first needed.
     """
 
-    __slots__ = ("key", "base", "scale", "dy", "main", "rows")
+    __slots__ = ("base", "scale", "dy", "main", "rows")
 
-    def __init__(self, ys: list, base: int):
-        self.key = list(ys)
+    def __init__(self, ys: tuple, base: int):
         self.base = base
         self.scale = 1 if ys[-1] >= (base + 1) // 2 else base // (ys[-1] + 1)
-        self.dy = self.key if self.scale == 1 else _scale(ys, self.scale, base)
+        self.dy = ys if self.scale == 1 else _scale(ys, self.scale, base)
         assert len(self.dy) == len(ys), "normalization must not grow the divisor"
         self.main = self.dy[-1]
         self.rows = [None] * base
@@ -154,20 +153,10 @@ class _Divisor:
         return r
 
 
-_last_divisor: _Divisor | None = None
-
-
-def _divisor(ys: list, base: int) -> _Divisor:
-    """The record for ys in base, reusing the last one when it matches.
-
-    Safe under threads: a caller keeps the record it got even if another
-    thread replaces the memo, and two threads filling one row store equal
-    lists."""
-    global _last_divisor
-    d = _last_divisor
-    if d is None or d.base != base or d.key != ys:
-        d = _last_divisor = _Divisor(ys, base)
-    return d
+# The record of the last divisor, keyed on (tuple(ys), base): the tuple is
+# a private, immutable copy, so a caller that later mutates its list
+# cannot make a stale record match.
+_divisor = lru_cache(maxsize=1)(_Divisor)
 
 
 def div_straight(xs: list, ys: list, base: int, want_trace: bool = False):
@@ -192,7 +181,7 @@ def div_straight(xs: list, ys: list, base: int, want_trace: bool = False):
     if M == 0:
         raise ZeroDivisionError("division by zero")
     trace = [] if want_trace else None
-    d = _divisor(ys, base)
+    d = _divisor(tuple(ys), base)
     scale = d.scale
     dx = xs if scale == 1 else _scale(xs, scale, base)
     L = len(dx)

@@ -13,9 +13,8 @@ cell checksums fold into the run's result checksum.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from . import backend, modexp, numeral, rsa
 from .modexp import Strategy
@@ -86,16 +85,6 @@ class BenchConfig:
             for a in self.algorithms:
                 if a not in known:
                     raise ValueError(f"unknown algorithm {a!r}")
-
-    @classmethod
-    def from_json_file(cls, path) -> "BenchConfig":
-        with open(path) as fh:
-            raw = json.load(fh)
-        allowed = {f.name for f in fields(cls)}
-        unknown = set(raw) - allowed
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        return cls(**raw)
 
 
 def _fold(checksum: int, digits) -> int:
@@ -194,15 +183,21 @@ def _time_cell(run, operands, iterations: int) -> tuple[int, int]:
     return total, sink
 
 
+def backend_names(config: BenchConfig) -> list[str]:
+    """The backends every cell is timed on: all available ones under
+    `compare_backends`, else the active one."""
+    if config.compare_backends:
+        return sorted(backend.available())
+    return [backend.active_name()]
+
+
 def run_suite(config: BenchConfig) -> tuple[list[BenchRecord], str]:
     """All records plus the result checksum: the cells' result checksums,
     folded in order.  Raises AssertionError when two algorithms or backends
     of one cell disagree."""
     records: list[BenchRecord] = []
     sink = _FNV_OFFSET
-    backend_names = (
-        sorted(backend.available()) if config.compare_backends else [None]
-    )
+    names = backend_names(config)
     for operation in config.operations:
         algos = _OP_ALGOS[operation]
         if config.algorithms is not None:
@@ -212,23 +207,17 @@ def run_suite(config: BenchConfig) -> tuple[list[BenchRecord], str]:
             expected = None
             for algorithm in algos:
                 run = workload.runner(algorithm)
-                for name in backend_names:
-                    if name is None:
+                for name in names:
+                    with backend.use(name):
                         total, cell_sink = _time_cell(
                             run, workload.operands, config.iterations
                         )
-                    else:
-                        with backend.use(name):
-                            total, cell_sink = _time_cell(
-                                run, workload.operands, config.iterations
-                            )
                     if expected is None:
                         expected = cell_sink
                     elif cell_sink != expected:
                         raise AssertionError(
-                            f"{operation}/{width}: {algorithm} on "
-                            f"{name or backend.active_name()} disagrees with "
-                            "the cell's other results"
+                            f"{operation}/{width}: {algorithm} on {name} "
+                            "disagrees with the cell's other results"
                         )
                     records.append(
                         BenchRecord(

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import backend, bench, modexp, numeral, rsa, selftest, vedic_div
+from . import bench, modexp, numeral, rsa, selftest, vedic_div
 from .modexp import Strategy
 from .numeral import Base
 
@@ -95,18 +95,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_st.set_defaults(func=_cmd_selftest)
 
     p_b = sub.add_parser("bench", help="run the benchmark suite, CSV on stdout")
-    p_b.add_argument("--config", help="JSON file with BenchConfig fields")
     p_b.add_argument("--widths", help="comma-separated operand bit widths")
     p_b.add_argument("--iterations", type=int)
     p_b.add_argument("--seed", type=int)
     p_b.add_argument("--ops", help="comma-separated subset of: " + ",".join(bench.OPERATIONS))
     p_b.add_argument("--algos", help="comma-separated algorithm subset")
-    p_b.add_argument(
-        "--backend",
-        choices=("auto", "pure", "compiled"),
-        default="auto",
-        help="kernel backend to run on (default: whichever is active)",
-    )
     p_b.add_argument(
         "--compare-backends",
         action="store_true",
@@ -226,24 +219,19 @@ def _csv_ints(text: str) -> tuple:
 
 
 def _cmd_bench(args) -> int:
+    given = {"compare_backends": args.compare_backends}
+    if args.widths:
+        given["widths"] = _csv_ints(args.widths)
+    if args.iterations is not None:
+        given["iterations"] = args.iterations
+    if args.seed is not None:
+        given["seed"] = args.seed
+    if args.ops:
+        given["operations"] = args.ops.split(",")
+    if args.algos:
+        given["algorithms"] = args.algos.split(",")
     try:
-        if args.config:
-            config = bench.BenchConfig.from_json_file(args.config)
-        else:
-            config = bench.BenchConfig()
-        if args.widths:
-            config.widths = _csv_ints(args.widths)
-        if args.iterations is not None:
-            config.iterations = args.iterations
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.ops:
-            config.operations = tuple(args.ops.split(","))
-        if args.algos:
-            config.algorithms = tuple(args.algos.split(","))
-        if args.compare_backends:
-            config.compare_backends = True
-        config.__post_init__()  # re-validate after overrides
+        config = bench.BenchConfig(**given)
     except ValueError as exc:
         raise _UsageError(str(exc))
     print(
@@ -251,15 +239,8 @@ def _cmd_bench(args) -> int:
         "figures for these algorithms are not comparable",
         file=sys.stderr,
     )
-    if config.compare_backends:
-        records, sink = bench.run_suite(config)
-    elif args.backend != "auto" and args.backend != backend.active_name():
-        if args.backend not in backend.available():
-            raise _UsageError(f"backend {args.backend!r} is not available")
-        with backend.use(args.backend):
-            records, sink = bench.run_suite(config)
-    else:
-        records, sink = bench.run_suite(config)
+    print(f"# backend: {','.join(bench.backend_names(config))}", file=sys.stderr)
+    records, sink = bench.run_suite(config)
     for line in bench.csv_lines(records, config.compare_backends):
         print(line)
     print(f"# result checksum: {sink}", file=sys.stderr)

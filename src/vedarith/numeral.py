@@ -220,15 +220,6 @@ def sub(a: Natural, b: Natural) -> Natural:
     return Natural(tuple(out), a.base)
 
 
-def shift_digits(x: Natural, k: int) -> Natural:
-    """Shift by whole digits: k >= 0 multiplies by base**k, k < 0 floor-divides."""
-    if x.is_zero():
-        return x
-    if k >= 0:
-        return Natural((0,) * k + x.digits, x.base)
-    return Natural(x.digits[-k:], x.base)
-
-
 def to_int(x: Natural) -> int:
     """Value as a machine integer.  Conversion/oracle plumbing only: the
     arithmetic operations themselves never round-trip through this."""

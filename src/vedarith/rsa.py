@@ -64,7 +64,7 @@ def is_prime(n: Natural, strategy: Strategy = DEFAULT_STRATEGY) -> bool:
     v = numeral.to_int(n)
     if v < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in MR_WITNESSES:
         if v == p:
             return True
         if v % p == 0:

@@ -17,6 +17,7 @@ all of this on digit lists; this module converts to and from `Natural`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import backend, numeral
 from .numeral import Natural
@@ -30,8 +31,7 @@ class DivResult:
     remainder: Natural
 
 
-@dataclass(frozen=True)
-class DivisionStep:
+class DivisionStep(NamedTuple):
     """One quotient digit of a traced division.
 
     `partial_dividend` (K) is the two-digit window the estimate divides,
@@ -78,5 +78,5 @@ def _divide_full(dividend: Natural, divisor: Natural, want_trace: bool):
         numeral._from_canonical(tuple(q), base),
         numeral._from_canonical(tuple(r), base),
     )
-    trace = tuple(DivisionStep(*row) for row in raw) if raw is not None else None
+    trace = tuple(map(DivisionStep._make, raw)) if raw is not None else None
     return result, trace

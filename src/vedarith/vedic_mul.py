@@ -19,14 +19,6 @@ GROUP_BITS = (1, 2, 4, 8)
 
 
 @dataclass(frozen=True)
-class ColumnSum:
-    """Pre-carry accumulator for one cross-product column."""
-
-    column_index: int
-    value: int
-
-
-@dataclass(frozen=True)
 class StructureReport:
     """How many d x d multiply units and cross-product columns an N-bit
     operand pair decomposes into."""
@@ -35,21 +27,6 @@ class StructureReport:
     group_bits: int
     module_count: int
     column_count: int
-
-
-def cross_column(x: Natural, y: Natural, c: int) -> ColumnSum:
-    """Sum of x[i] * y[j] over all i + j = c; digits past the canonical
-    length read as zero, so columns beyond the last are empty."""
-    numeral.same_base(x, y)
-    if c < 0:
-        raise ValueError("column index must be nonnegative")
-    xs, ys = x.digits, y.digits
-    total = 0
-    lo = max(0, c - len(ys) + 1)
-    hi = min(c, len(xs) - 1)
-    for i in range(lo, hi + 1):
-        total += xs[i] * ys[c - i]
-    return ColumnSum(c, total)
 
 
 def multiply(x: Natural, y: Natural) -> Natural:

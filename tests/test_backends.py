@@ -47,6 +47,14 @@ def test_compiled_is_default_when_built(compiled, monkeypatch):
     assert backend._initial() is compiled
 
 
+def test_backend_pinned_by_environment(monkeypatch):
+    monkeypatch.setenv("VEDARITH_BACKEND", "pure")
+    assert backend._initial() is _pykernels
+    monkeypatch.setenv("VEDARITH_BACKEND", "gpu")
+    with pytest.raises(ImportError, match="'gpu'"):
+        backend._initial()
+
+
 def test_kernels_agree_on_random_digit_lists(compiled):
     rng = Lcg64(0xBEEF)
     for trial in range(4000):
@@ -189,8 +197,8 @@ def test_divisor_record_keeps_bases_apart():
     ys = [3, 5]  # 53 in base 10, 0x53 in base 16
     for base in (10, 16, 10, 16, 16, 10):
         check_division(xs, ys, base)
-    assert _pykernels._divisor(ys, 16) is _pykernels._divisor(ys, 16)
-    assert _pykernels._divisor(ys, 10).base == 10
+    assert _pykernels._divisor(tuple(ys), 16) is _pykernels._divisor(tuple(ys), 16)
+    assert _pykernels._divisor(tuple(ys), 10).base == 10
 
 
 def test_divisor_record_ignores_caller_mutation():

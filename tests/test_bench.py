@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from vedarith import backend, bench, modexp
@@ -23,16 +21,6 @@ def test_config_validation():
         BenchConfig(operations=("fft",))
     with pytest.raises(ValueError, match="algorithm"):
         BenchConfig(algorithms=("magic",))
-
-
-def test_config_from_json_file(tmp_path):
-    path = tmp_path / "bench.json"
-    path.write_text(json.dumps({"widths": [8], "iterations": 2, "seed": 5}))
-    config = BenchConfig.from_json_file(path)
-    assert config.widths == (8,) and config.iterations == 2 and config.seed == 5
-    path.write_text(json.dumps({"wids": [8]}))
-    with pytest.raises(ValueError, match="unknown config keys"):
-        BenchConfig.from_json_file(path)
 
 
 def test_record_arithmetic_and_rows():

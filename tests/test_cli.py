@@ -1,6 +1,6 @@
 import pytest
 
-from vedarith import cli, modexp, numeral, rsa, selftest
+from vedarith import backend, cli, modexp, numeral, rsa, selftest
 from vedarith.numeral import Base
 
 
@@ -164,21 +164,14 @@ def test_bench_cli_csv(capsys):
     assert "result checksum" in err
 
 
-def test_bench_cli_config_file(capsys, tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text('{"widths": [8], "iterations": 2, "operations": ["mul"]}')
-    code, out, _ = run(capsys, "bench", "--config", str(path))
+def test_bench_cli_names_its_backend(capsys):
+    with backend.use("pure"):
+        code, out, err = run(
+            capsys, "bench", "--widths", "8", "--iterations", "1", "--ops", "mul"
+        )
     assert code == 0
     assert len(out.splitlines()) == 3
-
-
-def test_bench_cli_pure_backend(capsys):
-    code, out, _ = run(
-        capsys, "bench", "--widths", "8", "--iterations", "1", "--ops", "mul",
-        "--backend", "pure",
-    )
-    assert code == 0
-    assert len(out.splitlines()) == 3
+    assert "# backend: pure" in err.splitlines()
 
 
 def test_cli_output_parses_back(capsys):

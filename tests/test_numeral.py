@@ -118,17 +118,6 @@ def test_base_mismatch_rejected():
             op(a, b)
 
 
-def test_shift_digits():
-    z = numeral.zero(Base.HEX)
-    assert numeral.shift_digits(z, 5) == z
-    assert numeral.shift_digits(numeral.parse("1", Base.HEX), 4) == numeral.parse(
-        "10000", Base.HEX
-    )
-    shifted = numeral.shift_digits(numeral.parse("35001", Base.DEC), -1)
-    assert numeral.format(shifted) == "3500"
-    assert numeral.shift_digits(nat(7), -5).is_zero()
-
-
 def test_digit_bits():
     assert Base.BIN.digit_bits == 1
     assert Base.QUAT.digit_bits == 2
@@ -178,14 +167,6 @@ def test_compare_is_consistent_with_integers(a, b, base):
     got = numeral.compare(numeral.from_int(a, base), numeral.from_int(b, base))
     want = Ordering.LESS if a < b else Ordering.GREATER if a > b else Ordering.EQUAL
     assert got is want
-
-
-@given(values, bases, st.integers(min_value=-6, max_value=6))
-def test_shift_matches_integer_scaling(v, base, k):
-    x = numeral.from_int(v, base)
-    got = val(numeral.shift_digits(x, k))
-    beta = int(base)
-    assert got == (v * beta**k if k >= 0 else v // beta ** (-k))
 
 
 def test_exhaustive_small_ground_truth():

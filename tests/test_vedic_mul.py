@@ -3,53 +3,11 @@ from hypothesis import given, strategies as st
 
 from conftest import ALL_BASES, nat, scaled, val
 from vedarith import numeral, vedic_mul
-from vedarith.numeral import Base, BaseMismatchError, Natural
+from vedarith.numeral import Base, BaseMismatchError
 from vedarith.randgen import Lcg64
 
 bases = st.sampled_from(ALL_BASES)
 values = st.integers(min_value=0, max_value=1 << 120)
-
-
-def test_cross_column_zero_operand():
-    x = nat(123456)
-    zero = numeral.zero(Base.HEX)
-    for c in (0, 3, 17):
-        assert vedic_mul.cross_column(x, zero, c).value == 0
-
-
-def test_cross_column_four_digit_diagonal():
-    # column 3 of a 4x4-digit operand pair must be
-    # x3*y0 + x2*y1 + x1*y2 + x0*y3
-    x = Natural((2, 3, 5, 7), Base.HEX)
-    y = Natural((11, 13, 1, 9), Base.HEX)
-    want = 7 * 11 + 5 * 13 + 3 * 1 + 2 * 9
-    assert vedic_mul.cross_column(x, y, 3).value == want
-
-
-def test_cross_column_middle_of_two_digit_product():
-    # oracle: 23 * 41 = 943; its middle pre-carry column is 2*1 + 3*4 = 14
-    x = numeral.parse("23", Base.DEC)
-    y = numeral.parse("41", Base.DEC)
-    assert vedic_mul.cross_column(x, y, 1).value == 14
-    assert val(vedic_mul.multiply(x, y)) == 943
-
-
-def test_cross_column_rejects_bad_input():
-    with pytest.raises(ValueError):
-        vedic_mul.cross_column(nat(1), nat(1), -1)
-    with pytest.raises(BaseMismatchError):
-        vedic_mul.cross_column(nat(1, Base.HEX), nat(1, Base.DEC), 0)
-
-
-@given(values, values, st.integers(min_value=0, max_value=80), bases)
-def test_cross_column_symmetry_and_bound(a, b, c, base):
-    x, y = numeral.from_int(a, base), numeral.from_int(b, base)
-    col = vedic_mul.cross_column(x, y, c)
-    assert col == vedic_mul.cross_column(y, x, c)
-    pairs = sum(
-        1 for i in range(c + 1) if i < len(x.digits) and c - i < len(y.digits)
-    )
-    assert 0 <= col.value <= pairs * (int(base) - 1) ** 2
 
 
 def test_multiply_identities():
@@ -90,18 +48,6 @@ def test_multiply_distributes_over_add(a, b, c, base):
     left = vedic_mul.multiply(x, numeral.add(y, z))
     right = numeral.add(vedic_mul.multiply(x, y), vedic_mul.multiply(x, z))
     assert left == right
-
-
-@given(values, values, bases)
-def test_recomposition_of_column_sums(a, b, base):
-    # positional accumulation of the raw column sums is exactly the product
-    x, y = numeral.from_int(a, base), numeral.from_int(b, base)
-    ncols = max(0, len(x.digits) + len(y.digits) - 1)
-    total = numeral.zero(base)
-    for c in range(ncols):
-        col = numeral.from_int(vedic_mul.cross_column(x, y, c).value, base)
-        total = numeral.add(total, numeral.shift_digits(col, c))
-    assert total == vedic_mul.multiply(x, y)
 
 
 def test_multiply_random_wide_operands_against_oracle():
