@@ -210,20 +210,13 @@ scale_into(const u64 *src, Py_ssize_t n, u64 factor, u64 base, u64 *dst)
 typedef Py_ssize_t (*product_fn)(const u64 *x, Py_ssize_t m, const u64 *y,
                                  Py_ssize_t n, u64 base, u64 *out);
 
+/* Turn the ncols column sums in out into digits, left to right, and
+   return the product's untrimmed length. */
 static Py_ssize_t
-vedic_product(const u64 *x, Py_ssize_t m, const u64 *y, Py_ssize_t n,
-              u64 base, u64 *out)
+resolve_carries(u64 *out, Py_ssize_t ncols, u64 base)
 {
-    Py_ssize_t i, j, ncols = m + n - 1;
-    u64 xi, carry = 0, t;
-    for (i = 0; i < m; i++) {
-        xi = x[i];
-        if (xi == 0)
-            continue;
-        for (j = 0; j < n; j++)
-            out[i + j] += xi * y[j];
-    }
-    /* resolve carries in place: each column sum becomes its output digit */
+    u64 carry = 0, t;
+    Py_ssize_t i;
     for (i = 0; i < ncols; i++) {
         t = out[i] + carry;
         out[i] = t % base;
@@ -234,6 +227,44 @@ vedic_product(const u64 *x, Py_ssize_t m, const u64 *y, Py_ssize_t n,
         carry /= base;
     }
     return ncols;
+}
+
+static Py_ssize_t
+vedic_product(const u64 *x, Py_ssize_t m, const u64 *y, Py_ssize_t n,
+              u64 base, u64 *out)
+{
+    Py_ssize_t i, j;
+    u64 xi;
+    for (i = 0; i < m; i++) {
+        xi = x[i];
+        if (xi == 0)
+            continue;
+        for (j = 0; j < n; j++)
+            out[i + j] += xi * y[j];
+    }
+    return resolve_carries(out, m + n - 1, base);
+}
+
+/* The duplex (Dwandwa-yoga) square of x, for y == x: column c sums each
+   pair of distinct digits once, doubled, plus x[c/2]**2 on even columns.
+   These are the column sums of vedic_product, from about half the digit
+   products, so they keep its u64 bound. */
+static Py_ssize_t
+duplex_product(const u64 *x, Py_ssize_t m, const u64 *y, Py_ssize_t n,
+               u64 base, u64 *out)
+{
+    Py_ssize_t i, j;
+    u64 xi;
+    for (i = 0; i < m; i++) {
+        xi = x[i];
+        if (xi == 0)
+            continue;
+        out[2 * i] += xi * xi;
+        xi *= 2;
+        for (j = i + 1; j < m; j++)
+            out[i + j] += xi * x[j];
+    }
+    return resolve_carries(out, 2 * m - 1, base);
 }
 
 static Py_ssize_t
@@ -261,8 +292,11 @@ shift_add_product(const u64 *x, Py_ssize_t m, const u64 *y, Py_ssize_t n,
     return m + n;
 }
 
+/* square, when not NULL, takes the product when both arguments are the
+   same list object. */
 static PyObject *
-multiply(PyObject *args, const char *format, product_fn product)
+multiply(PyObject *args, const char *format, product_fn product,
+         product_fn square)
 {
     PyObject *xs, *ys, *result = NULL;
     u64 base, *x = NULL, *y = NULL, *out = NULL;
@@ -275,6 +309,8 @@ multiply(PyObject *args, const char *format, product_fn product)
     n = PyList_GET_SIZE(ys);
     if (m == 0 || n == 0)
         return PyList_New(0);
+    if (square != NULL && xs == ys)
+        product = square;
     if ((x = from_list(xs, 0, base)) && (y = from_list(ys, 0, base))
         && (out = alloc_digits(m + n)))
         result = to_list(out, trim(out, product(x, m, y, n, base, out)));
@@ -287,12 +323,14 @@ multiply(PyObject *args, const char *format, product_fn product)
 PyDoc_STRVAR(mul_vedic_doc,
 "mul_vedic(xs, ys, base)\n--\n\n"
 "Cross-product multiplication: column sums for every digit diagonal,\n"
-"then a single left-to-right carry-resolution sweep.");
+"then a single left-to-right carry-resolution sweep.  A square (xs is ys)\n"
+"takes its column sums by the duplex rule: each pair of distinct digits\n"
+"once, doubled, plus the middle digit's square on even columns.");
 
 static PyObject *
 mul_vedic(PyObject *self, PyObject *args)
 {
-    return multiply(args, "O!O!O&:mul_vedic", vedic_product);
+    return multiply(args, "O!O!O&:mul_vedic", vedic_product, duplex_product);
 }
 
 PyDoc_STRVAR(mul_shift_add_doc,
@@ -303,7 +341,7 @@ PyDoc_STRVAR(mul_shift_add_doc,
 static PyObject *
 mul_shift_add(PyObject *self, PyObject *args)
 {
-    return multiply(args, "O!O!O&:mul_shift_add", shift_add_product);
+    return multiply(args, "O!O!O&:mul_shift_add", shift_add_product, NULL);
 }
 
 PyDoc_STRVAR(div_straight_doc,

@@ -6,12 +6,11 @@ compiled twin: same functions, same digit-level algorithms, bit-identical
 results.  Everything here is deliberately digit-serial; no function ever
 falls back to machine-word multiplication or division of whole operands.
 
-Straight division keeps each divisor's fixed work in a `_Divisor` record:
-the single-digit normalizing scale, the normalized digits and their
-leading digit, and the rows divisor*q, each filled the first time a
-quotient digit needs it.  The record of the last divisor seen is kept, so
-a run of divisions by one modulus (as in modular exponentiation)
-normalizes it once and builds each row once.
+A square (`mul_vedic(xs, xs)`) takes the duplex column sums.  Straight
+division keeps each divisor's scale, normalized digits and rows divisor*q
+(built on first use, big-endian, padded to the width of the division's
+fixed window) in a `_Divisor` record; the last divisor's record is kept,
+so a run of divisions by one modulus normalizes it and builds each row once.
 """
 
 from __future__ import annotations
@@ -62,35 +61,8 @@ def _sub_inplace(a: list, b: list, base: int) -> list:
     return _trim(a)
 
 
-def _scale(digits: list, factor: int, base: int) -> list:
-    # digits * single-digit factor, one carry pass
-    if factor == 0 or not digits:
-        return []
-    out = []
-    carry = 0
-    for d in digits:
-        t = d * factor + carry
-        out.append(t % base)
-        carry = t // base
-    while carry:
-        out.append(carry % base)
-        carry //= base
-    return _trim(out)
-
-
-def mul_vedic(xs: list, ys: list, base: int) -> list:
-    """Cross-product multiplication: column sums for every digit diagonal,
-    then a single left-to-right carry-resolution sweep."""
-    m, n = len(xs), len(ys)
-    if m == 0 or n == 0:
-        return []
-    cols = [0] * (m + n - 1)
-    for i in range(m):
-        xi = xs[i]
-        if xi == 0:
-            continue
-        for j in range(n):
-            cols[i + j] += xi * ys[j]
+def _carry(cols: list, base: int) -> list:
+    # column sums of any size -> digits, one left-to-right carry pass
     out = []
     carry = 0
     for s in cols:
@@ -103,23 +75,49 @@ def mul_vedic(xs: list, ys: list, base: int) -> list:
     return _trim(out)
 
 
+def _scale(digits: list, factor: int, base: int) -> list:
+    # digits * single-digit factor
+    return _carry([d * factor for d in digits], base) if factor else []
+
+
+def mul_vedic(xs: list, ys: list, base: int) -> list:
+    """Cross-product multiplication: column sums for every digit diagonal,
+    then a single left-to-right carry-resolution sweep.  A square (`xs is
+    ys`) takes the duplex sums: each distinct digit pair once, doubled."""
+    if not xs or not ys:
+        return []
+    cols = [0] * (len(xs) + len(ys) - 1)
+    square = xs is ys
+    for i, xi in enumerate(xs):
+        if xi == 0:
+            continue
+        k, row = i, ys
+        if square:
+            # duplex: the middle square, then each later digit once, doubled
+            cols[i + i] += xi * xi
+            k, row, xi = i + i + 1, xs[i + 1 :], xi + xi
+        for y in row:
+            cols[k] += xi * y
+            k += 1
+    return _carry(cols, base)
+
+
 def mul_shift_add(xs: list, ys: list, base: int) -> list:
     """Row-wise schoolbook multiplication: one shifted digit-scaled addend
     per multiplier digit, accumulated as it goes."""
-    m, n = len(xs), len(ys)
-    if m == 0 or n == 0:
+    if not xs or not ys:
         return []
-    res = [0] * (m + n)
-    for j in range(n):
-        d = ys[j]
+    res = [0] * (len(xs) + len(ys))
+    for j, d in enumerate(ys):
         if d == 0:
             continue
         carry = 0
-        for i in range(m):
-            t = res[i + j] + xs[i] * d + carry
-            res[i + j] = t % base
+        k = j
+        for x in xs:
+            t = res[k] + x * d + carry
+            res[k] = t % base
             carry = t // base
-        k = j + m
+            k += 1
         while carry:
             t = res[k] + carry
             res[k] = t % base
@@ -128,15 +126,15 @@ def mul_shift_add(xs: list, ys: list, base: int) -> list:
     return _trim(res)
 
 
-class _Divisor:
+class _Divisor(dict):
     """One divisor's fixed work for straight division.
 
     `scale` is the single-digit factor that lifts the leading digit to at
     least ceil(base/2), `dy` the scaled digits, `main` their leading digit,
-    and `rows[q]` the subtrahend dy*q, None until first needed.
+    and `self[q]` the subtrahend dy*q, big-endian, zero-padded to M+1 digits.
     """
 
-    __slots__ = ("base", "scale", "dy", "main", "rows")
+    __slots__ = ("base", "scale", "dy", "main")
 
     def __init__(self, ys: tuple, base: int):
         self.base = base
@@ -144,13 +142,11 @@ class _Divisor:
         self.dy = ys if self.scale == 1 else _scale(ys, self.scale, base)
         assert len(self.dy) == len(ys), "normalization must not grow the divisor"
         self.main = self.dy[-1]
-        self.rows = [None] * base
 
-    def row(self, q: int) -> list:
-        r = self.rows[q]
-        if r is None:
-            r = self.rows[q] = _scale(self.dy, q, self.base)
-        return r
+    def __missing__(self, q: int) -> list:
+        row = _scale(self.dy, q, self.base)[::-1]
+        self[q] = row = [0] * (len(self.dy) + 1 - len(row)) + row
+        return row
 
 
 # The record of the last divisor, keyed on (tuple(ys), base): the tuple is
@@ -169,10 +165,12 @@ def div_straight(xs: list, ys: list, base: int, want_trace: bool = False):
     divisor digits act as the flag: their product with the quotient digit
     is subtracted from the running partial as one multi-digit value.
 
-    The scale, the normalized divisor and its multiples come from the
-    divisor's `_Divisor` record, so repeated divisions by one divisor do
-    that work once; each step only compares against the memoized multiple
-    of its digit estimate, steps down on overshoot, and subtracts once.
+    The scale, the normalized divisor and its rows dy*q come from the
+    divisor's `_Divisor` record.  The running partial is a window of M+1
+    big-endian digits (M = len(ys)); a step drops its top digit, zero as
+    the partial stays below the divisor, and appends the next.  At equal
+    width list order is numeric order: the adjust loop steps down while the
+    window is below the padded row, then one borrow sweep subtracts it.
 
     Returns (quotient, remainder, max_adjust, trace) with trace a list of
     (step, K, q_estimate, adjustments, q, r) tuples or None.
@@ -188,50 +186,47 @@ def div_straight(xs: list, ys: list, base: int, want_trace: bool = False):
     if L < M:
         return [], list(xs), 0, trace
     main = d.main
-    rows = d.rows
-    top = base - 1
-    W: list = []  # running partial, always < divisor before each shift
+    W = [0, 0] + dx[: L - M : -1]  # the top M-1 digits; each step adds one
+    sweep = range(M, -1, -1)
     quotient = []
     max_adjust = 0
-    step = 0
-    for t in range(L):
-        W.insert(0, dx[L - 1 - t])
-        _trim(W)
-        if t < M - 1:
-            continue
-        step += 1
-        # K = the top of the partial, at most two digits' worth
-        K = (W[M - 1] if len(W) > M - 1 else 0) + base * (W[M] if len(W) > M else 0)
+    for step, digit in enumerate(dx[L - M :: -1], 1):
+        del W[0]
+        W.append(digit)
+        K = W[0] * base + W[1]
         qhat = K // main
-        if qhat > top:
-            qhat = top
+        if qhat >= base:
+            qhat = base - 1
         q_est = qhat
-        sub = rows[qhat]
-        if sub is None:
-            sub = d.row(qhat)
-        adj = 0
-        while _cmp(W, sub) < 0:
+        sub = d[qhat]
+        while W < sub:
             qhat -= 1
-            sub = d.row(qhat)
-            adj += 1
-        _sub_inplace(W, sub, base)
+            sub = d[qhat]
+        adj = q_est - qhat
+        if qhat:
+            borrow = 0
+            for i in sweep:
+                t = W[i] - sub[i] - borrow
+                if t < 0:
+                    W[i] = t + base
+                    borrow = 1
+                else:
+                    W[i] = t
+                    borrow = 0
         quotient.append(qhat)
         if adj > max_adjust:
             max_adjust = adj
         if want_trace:
             trace.append((step, K, q_est, adj, qhat, K - main * qhat))
-    quotient.reverse()
-    _trim(quotient)
     if scale != 1:
         # de-scale the remainder; exact by construction
         carry = 0
-        for i in range(len(W) - 1, -1, -1):
-            cur = carry * base + W[i]
+        for i, w in enumerate(W):
+            cur = carry * base + w
             W[i] = cur // scale
             carry = cur % scale
         assert carry == 0, "scaled remainder must divide exactly"
-        _trim(W)
-    return quotient, W, max_adjust, trace
+    return _trim(quotient[::-1]), _trim(W[::-1]), max_adjust, trace
 
 
 def div_restoring(x_bits: list, y_bits: list):

@@ -32,7 +32,9 @@ class StructureReport:
 def multiply(x: Natural, y: Natural) -> Natural:
     """Product via cross-product column sums and one carry sweep."""
     base = numeral.same_base(x, y)
-    out = backend.kernels().mul_vedic(list(x.digits), list(y.digits), int(base))
+    xs = list(x.digits)
+    ys = xs if x.digits == y.digits else list(y.digits)  # a square: duplex
+    out = backend.kernels().mul_vedic(xs, ys, int(base))
     return numeral._from_canonical(tuple(out), base)
 
 

@@ -19,6 +19,14 @@ def check_division(xs, ys, base):
     assert (to_int(q, base), to_int(r, base)) == want
 
 
+def to_digits(value, base):
+    out = []
+    while value:
+        value, d = divmod(value, base)
+        out.append(d)
+    return out
+
+
 def rand_digits(rng, maxlen, base):
     out = [rng.below(base) for _ in range(rng.below(maxlen + 1))]
     while out and out[-1] == 0:
@@ -69,6 +77,18 @@ def test_kernels_agree_on_random_digit_lists(compiled):
             want_trace = trial % 4 == 0
             got = compiled.div_straight(xs, ys, base, want_trace)
             assert got == _pykernels.div_straight(xs, ys, base, want_trace)
+    # one-digit divisors (a two-digit window), and dividends exactly as long
+    # as the divisor (a single step)
+    for base in (2, 4, 10, 16, 256):
+        for _ in range(100):
+            one = [1 + rng.below(base - 1)]
+            wide = rand_digits(rng, 12, base) + [1 + rng.below(base - 1)]
+            exact = [rng.below(base) for _ in wide[1:]] + [1 + rng.below(base - 1)]
+            for xs, ys in ((rand_digits(rng, 40, base), one), (exact, wide)):
+                check_division(xs, ys, base)
+                for want_trace in (False, True):
+                    got = compiled.div_straight(xs, ys, base, want_trace)
+                    assert got == _pykernels.div_straight(xs, ys, base, want_trace)
     # repeated and alternating divisors, so the pure twin's divisor record
     # is exercised both freshly built and reused
     for base in (2, 4, 10, 16, 256):
@@ -79,6 +99,21 @@ def test_kernels_agree_on_random_digit_lists(compiled):
             for want_trace in (False, True):
                 got = compiled.div_straight(xs, ys, base, want_trace)
                 assert got == _pykernels.div_straight(xs, ys, base, want_trace)
+
+
+def test_duplex_square_matches_general_product(compiled):
+    # mul_vedic(xs, xs) takes the duplex path, mul_vedic(xs, list(xs)) the
+    # general one; both must give the integer square, on both twins
+    rng = Lcg64(0xD0B1)
+    for base in (2, 4, 10, 16, 256, 65536):
+        cases = [[], [1], [base - 1], [base - 1] * 300]
+        cases += [[base - 1] * rng.below(300) for _ in range(3)]
+        cases += [rand_digits(rng, 40, base) for _ in range(200)]
+        for xs in cases:
+            want = to_digits(to_int(xs, base) ** 2, base)
+            for kernels in (_pykernels, compiled):
+                assert kernels.mul_vedic(xs, xs, base) == want, (kernels.NAME, base)
+                assert kernels.mul_vedic(xs, list(xs), base) == want
 
 
 def test_bit_kernels_agree(compiled):
@@ -112,6 +147,8 @@ def test_kernels_agree_on_edge_shapes(compiled):
         for name in ("mul_vedic", "mul_shift_add"):
             got = getattr(compiled, name)(xs, ys, base)
             assert got == getattr(_pykernels, name)(xs, ys, base), (name, base)
+            got = getattr(compiled, name)(xs, xs, base)  # a square
+            assert got == getattr(_pykernels, name)(xs, xs, base), (name, base)
         if not ys:
             continue
         got = compiled.div_straight(xs, ys, base, True)
@@ -128,6 +165,7 @@ def test_compiled_kernels_do_not_leak(compiled):
 
     def calls():
         compiled.mul_vedic(xs, ys, 10)
+        compiled.mul_vedic(xs, xs, 10)  # duplex square
         compiled.mul_shift_add(xs, ys, 10)
         compiled.div_straight(xs, ys, 10)
         compiled.div_straight(xs, ys, 10, True)

@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import ALL_BASES, nat, scaled, val
-from vedarith import numeral, vedic_mul
-from vedarith.numeral import Base, BaseMismatchError
+from vedarith import backend, numeral, vedic_mul
+from vedarith.numeral import Base, BaseMismatchError, Natural
 from vedarith.randgen import Lcg64
 
 bases = st.sampled_from(ALL_BASES)
@@ -20,6 +22,31 @@ def test_multiply_all_ones_square():
     # (16**4 - 1)**2 == 16**8 - 2*16**4 + 1
     x = numeral.parse("ffff", Base.HEX)
     assert numeral.format(vedic_mul.multiply(x, x)) == "fffe0001"
+
+
+def test_square_takes_the_duplex_path(monkeypatch):
+    # equal operands reach the kernel as one list, whether they are one
+    # Natural or two with separate digit tuples; the digits are the same
+    seen = []
+    kernels = backend.kernels()
+
+    def spy(xs, ys, base):
+        seen.append(xs is ys)
+        return kernels.mul_vedic(xs, ys, base)
+
+    monkeypatch.setattr(backend, "kernels", lambda: SimpleNamespace(mul_vedic=spy))
+    rng = Lcg64(0x5A)
+    for base in ALL_BASES:
+        for _ in range(50):
+            a = rng.bits(rng.below(300) + 1)
+            x = numeral.from_int(a, base)
+            same = vedic_mul.multiply(x, x)
+            twin = Natural(list(x.digits), base)  # a separate digit tuple
+            assert same.digits == vedic_mul.multiply(x, twin).digits
+            assert val(same) == a * a
+    assert seen and all(seen)
+    vedic_mul.multiply(nat(0xABC), nat(0xABD))
+    assert seen[-1] is False
 
 
 def test_multiply_quotient_times_divisor():
