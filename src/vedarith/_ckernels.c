@@ -10,6 +10,11 @@
    ValueError on a base outside 2..MAX_BASE, or on a digit (bit) not below
    its base, before any digit is used.
 
+   As in the pure twin, every divider keeps its partial remainder in a
+   fixed-width window and changes it only by window_sub, one borrow sweep
+   of a row padded to the window's width.  Here the window slides down the
+   dividend's own buffer, so no step moves digits.
+
    A plain CPython extension, written by hand against the C API (see
    "Extending Python with C or C++" in the Python documentation).  Build
    it in place with `python3 setup.py build_ext --inplace`.  Every buffer
@@ -17,7 +22,6 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#include <string.h>
 
 typedef unsigned long long u64;
 
@@ -117,87 +121,45 @@ trim(const u64 *a, Py_ssize_t n)
     return n;
 }
 
+/* A window is a fixed-width run of w little-endian digits; a < b? */
 static int
-cmp(const u64 *a, Py_ssize_t la, const u64 *b, Py_ssize_t lb)
+window_less(const u64 *a, const u64 *b, Py_ssize_t w)
 {
-    Py_ssize_t i;
-    if (la != lb)
-        return la < lb ? -1 : 1;
-    for (i = la - 1; i >= 0; i--) {
-        if (a[i] != b[i])
-            return a[i] < b[i] ? -1 : 1;
+    while (w-- > 0) {
+        if (a[w] != b[w])
+            return a[w] < b[w];
     }
     return 0;
 }
 
-/* a = a * base + d: move a's digits up one place and put d in the lowest;
-   a needs room for n + 1 digits. */
-static Py_ssize_t
-shift_in(u64 *a, Py_ssize_t n, u64 d)
+/* a -= b, one borrow sweep from the low end; a borrow out of the top is
+   dropped, so the window wraps like a fixed-width register */
+static void
+window_sub(u64 *a, const u64 *b, Py_ssize_t w, u64 base)
 {
-    memmove(a + 1, a, (size_t)n * sizeof(u64));
-    a[0] = d;
-    return trim(a, n + 1);
-}
-
-/* a -= b; requires a >= b */
-static Py_ssize_t
-sub_inplace(u64 *a, Py_ssize_t la, const u64 *b, Py_ssize_t lb, u64 base)
-{
-    u64 borrow = 0, bi;
+    u64 borrow = 0, t;
     Py_ssize_t i;
-    for (i = 0; i < la; i++) {
-        bi = (i < lb ? b[i] : 0) + borrow;
-        if (a[i] >= bi) {
-            a[i] -= bi;
-            borrow = 0;
-        }
-        else {
-            a[i] = a[i] + base - bi;
-            borrow = 1;
-        }
+    for (i = 0; i < w; i++) {
+        t = b[i] + borrow;
+        borrow = a[i] < t;
+        a[i] = borrow ? a[i] + base - t : a[i] - t;
     }
-    return trim(a, la);
 }
 
-/* r = y - r; requires y >= r; r must have room for ly digits */
-static Py_ssize_t
-rsub_into(u64 *r, Py_ssize_t lr, const u64 *y, Py_ssize_t ly, u64 base)
-{
-    u64 borrow = 0, ri;
-    Py_ssize_t i;
-    for (i = 0; i < ly; i++) {
-        ri = (i < lr ? r[i] : 0) + borrow;
-        if (y[i] >= ri) {
-            r[i] = y[i] - ri;
-            borrow = 0;
-        }
-        else {
-            r[i] = y[i] + base - ri;
-            borrow = 1;
-        }
-    }
-    return trim(r, ly);
-}
-
-/* dst = src * factor (single digit); dst needs n + 1 slots and may be src */
-static Py_ssize_t
+/* dst = src * factor (single digit), all n + 1 digits, the carry last even
+   when it is zero; dst may be src.  The carry stays below base, since
+   (base-1)**2 + base-1 < base**2. */
+static void
 scale_into(const u64 *src, Py_ssize_t n, u64 factor, u64 base, u64 *dst)
 {
     u64 carry = 0, t;
     Py_ssize_t i;
-    if (factor == 0 || n == 0)
-        return 0;
     for (i = 0; i < n; i++) {
         t = src[i] * factor + carry;
         dst[i] = t % base;
         carry = t / base;
     }
-    while (carry) {
-        dst[n++] = carry % base;
-        carry /= base;
-    }
-    return trim(dst, n);
+    dst[n] = carry;
 }
 
 /* --- kernels ------------------------------------------------------------- */
@@ -347,15 +309,17 @@ mul_shift_add(PyObject *self, PyObject *args)
 PyDoc_STRVAR(div_straight_doc,
 "div_straight(xs, ys, base, want_trace=False)\n--\n\n"
 "Straight (at-sight) division; see the pure twin for the full story.\n"
-"Returns (quotient, remainder, max_adjust, trace-or-None).");
+"The partial is a window of len(ys) + 1 digits that slides down the\n"
+"scaled dividend; each step changes it by one borrow sweep of the row\n"
+"divisor * q.  Returns (quotient, remainder, max_adjust, trace-or-None).");
 
 static PyObject *
 div_straight(PyObject *self, PyObject *args)
 {
     PyObject *xs, *ys, *trace = NULL, *row, *result = NULL;
-    u64 base, *dx = NULL, *dy = NULL, *W = NULL, *SUB = NULL, *Q = NULL;
+    u64 base, *X = NULL, *dy = NULL, *SUB = NULL, *Q = NULL, *R;
     u64 scale, main, K, qhat, q_est, carry, cur;
-    Py_ssize_t M, L, wlen = 0, slen, t, i, step = 0;
+    Py_ssize_t M, L, k, i;
     int want_trace = 0, adj, max_adjust = 0, rc;
 
     if (!PyArg_ParseTuple(args, "O!O!O&|p:div_straight", &PyList_Type, &xs,
@@ -367,15 +331,18 @@ div_straight(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ZeroDivisionError, "division by zero");
         return NULL;
     }
+    /* X has room for the scaling carry and for the first window's zero top */
     if ((want_trace && !(trace = PyList_New(0)))
-        || !(dy = from_list(ys, 1, base)) || !(dx = from_list(xs, 1, base))
-        || !(W = alloc_digits(M + 2)) || !(SUB = alloc_digits(M + 2)))
+        || !(dy = from_list(ys, 1, base)) || !(X = from_list(xs, 2, base))
+        || !(SUB = alloc_digits(M + 1)))
         goto done;
     /* normalize both operands in place */
     scale = dy[M - 1] >= (base + 1) / 2 ? 1 : base / (dy[M - 1] + 1);
     if (scale != 1) {
-        L = scale_into(dx, L, scale, base, dx);
-        if (scale_into(dy, M, scale, base, dy) != M) {
+        scale_into(X, L, scale, base, X);
+        L = trim(X, L + 1);
+        scale_into(dy, M, scale, base, dy);
+        if (trim(dy, M + 1) != M) {
             PyErr_SetString(PyExc_AssertionError,
                             "normalization must not grow the divisor");
             goto done;
@@ -389,31 +356,27 @@ div_straight(PyObject *self, PyObject *args)
     main = dy[M - 1];
     if (!(Q = alloc_digits(L - M + 1)))
         goto done;
-    for (t = 0; t < L; t++) {
-        wlen = shift_in(W, wlen, dx[L - 1 - t]);
-        if (t < M - 1)
-            continue;
-        step++;
-        /* K = the top of the partial, at most two digits' worth */
-        K = (wlen > M - 1 ? W[M - 1] : 0) + base * (wlen > M ? W[M] : 0);
+    /* At step k the partial is the window R = X[k .. k+M]; its top digit
+       is zero once the step is done, so the next window, one place down,
+       is the partial times base plus the next dividend digit. */
+    for (k = L - M; k >= 0; k--) {
+        R = X + k;
+        K = R[M] * base + R[M - 1];
         qhat = K / main;
         if (qhat > base - 1)
             qhat = base - 1;
         q_est = qhat;
-        slen = scale_into(dy, M, qhat, base, SUB);
-        adj = 0;
-        while (cmp(W, wlen, SUB, slen) < 0) {
+        scale_into(dy, M, qhat, base, SUB);
+        for (adj = 0; window_less(R, SUB, M + 1); adj++) {
             qhat--;
-            slen = sub_inplace(SUB, slen, dy, M, base);
-            adj++;
+            window_sub(SUB, dy, M + 1, base);
         }
-        wlen = sub_inplace(W, wlen, SUB, slen, base);
-        /* quotient digits arrive most significant first */
-        Q[L - 1 - t] = qhat;
+        window_sub(R, SUB, M + 1, base);
+        Q[k] = qhat;
         if (adj > max_adjust)
             max_adjust = adj;
         if (want_trace) {
-            row = Py_BuildValue("(nKKiKK)", step, K, q_est, adj, qhat,
+            row = Py_BuildValue("(nKKiKK)", L - M + 1 - k, K, q_est, adj, qhat,
                                 K - main * qhat);
             rc = row ? PyList_Append(trace, row) : -1;
             Py_XDECREF(row);
@@ -424,9 +387,9 @@ div_straight(PyObject *self, PyObject *args)
     if (scale != 1) {
         /* de-scale the remainder; exact by construction */
         carry = 0;
-        for (i = wlen - 1; i >= 0; i--) {
-            cur = carry * base + W[i];
-            W[i] = cur / scale;
+        for (i = M; i >= 0; i--) {
+            cur = carry * base + X[i];
+            X[i] = cur / scale;
             carry = cur % scale;
         }
         if (carry != 0) {
@@ -434,81 +397,65 @@ div_straight(PyObject *self, PyObject *args)
                             "scaled remainder must divide exactly");
             goto done;
         }
-        wlen = trim(W, wlen);
     }
     result = Py_BuildValue("(NNiO)", to_list(Q, trim(Q, L - M + 1)),
-                           to_list(W, wlen), max_adjust,
+                           to_list(X, trim(X, M + 1)), max_adjust,
                            trace ? trace : Py_None);
 done:
     Py_XDECREF(trace);
-    PyMem_Free(dx);
+    PyMem_Free(X);
     PyMem_Free(dy);
-    PyMem_Free(W);
     PyMem_Free(SUB);
     PyMem_Free(Q);
     return result;
 }
 
-/* The bit-serial dividers share everything but their loop.  Both count
+/* The bit-serial dividers share one body.  The partial is a window of
+   w = ny + 2 bits in two's complement, room for every partial from -2y to
+   2y, that slides down the dividend's buffer: at step k it is X[k .. k+w),
+   whose lowest bit is the dividend's bit k, and X[k+w], the bit it shifted
+   out, is the previous partial's sign.  A step changes the window only by
+   one borrow sweep of the padded row plus (+y) or minus (-y).  Both count
    one step per dividend bit: a subtract attempt (restoring) or an add or
    subtract (non-restoring). */
 static PyObject *
 bit_divide(PyObject *args, const char *format, int restoring)
 {
     PyObject *xs, *ys, *result = NULL;
-    u64 *x = NULL, *y = NULL, *R = NULL, *Q = NULL, one = 1;
-    Py_ssize_t n, ny, i, rlen = 0;
-    int neg = 0;
+    u64 *X = NULL, *plus = NULL, *minus = NULL, *Q = NULL, *R;
+    Py_ssize_t n, w, k;
 
     if (!PyArg_ParseTuple(args, format, &PyList_Type, &xs, &PyList_Type, &ys))
         return NULL;
     n = PyList_GET_SIZE(xs);
-    ny = PyList_GET_SIZE(ys);
-    if (ny == 0) {
+    w = PyList_GET_SIZE(ys) + 2;
+    if (w == 2) { /* an empty divisor */
         PyErr_SetString(PyExc_ZeroDivisionError, "division by zero");
         return NULL;
     }
-    if (!(x = from_list(xs, 0, 2)) || !(y = from_list(ys, 0, 2))
-        || !(R = alloc_digits(ny + 2)) || !(Q = alloc_digits(n)))
+    if (!(X = from_list(xs, w, 2)) || !(plus = from_list(ys, 2, 2))
+        || !(minus = alloc_digits(w)) || !(Q = alloc_digits(n)))
         goto done;
-    for (i = n - 1; i >= 0; i--) {
-        if (restoring) {
-            rlen = shift_in(R, rlen, x[i]);
-            if (cmp(R, rlen, y, ny) >= 0) {
-                rlen = sub_inplace(R, rlen, y, ny, 2);
-                Q[i] = 1;
-            }
-            continue;
+    window_sub(minus, plus, w, 2);
+    for (k = n - 1; k >= 0; k--) {
+        R = X + k;
+        if (!restoring) {
+            window_sub(R, R[w] ? minus : plus, w, 2);
+            Q[k] = !R[w - 1];
         }
-        if (!neg) {
-            rlen = shift_in(R, rlen, x[i]);
-            if (cmp(R, rlen, y, ny) >= 0)
-                rlen = sub_inplace(R, rlen, y, ny, 2);
-            else {
-                rlen = rsub_into(R, rlen, y, ny, 2);
-                neg = 1;
-            }
+        else if (!window_less(R, plus, w)) {
+            window_sub(R, plus, w, 2);
+            Q[k] = 1;
         }
-        else {
-            rlen = shift_in(R, rlen, 0);
-            if (x[i])
-                rlen = sub_inplace(R, rlen, &one, 1, 2);
-            if (cmp(R, rlen, y, ny) <= 0) {
-                rlen = rsub_into(R, rlen, y, ny, 2);
-                neg = 0;
-            }
-            else
-                rlen = sub_inplace(R, rlen, y, ny, 2);
-        }
-        Q[i] = !neg;
     }
-    if (neg)
-        rlen = rsub_into(R, rlen, y, ny, 2);
-    result = Py_BuildValue("(NNn)", to_list(Q, trim(Q, n)), to_list(R, rlen), n);
+    if (X[w - 1])
+        window_sub(X, minus, w, 2); /* the final add-back */
+    result = Py_BuildValue("(NNn)", to_list(Q, trim(Q, n)),
+                           to_list(X, trim(X, w)), n);
 done:
-    PyMem_Free(x);
-    PyMem_Free(y);
-    PyMem_Free(R);
+    PyMem_Free(X);
+    PyMem_Free(plus);
+    PyMem_Free(minus);
     PyMem_Free(Q);
     return result;
 }

@@ -6,11 +6,17 @@ compiled twin: same functions, same digit-level algorithms, bit-identical
 results.  Everything here is deliberately digit-serial; no function ever
 falls back to machine-word multiplication or division of whole operands.
 
-A square (`mul_vedic(xs, xs)`) takes the duplex column sums.  Straight
-division keeps each divisor's scale, normalized digits and rows divisor*q
-(built on first use, big-endian, padded to the width of the division's
-fixed window) in a `_Divisor` record; the last divisor's record is kept,
-so a run of divisions by one modulus normalizes it and builds each row once.
+A square (`mul_vedic(xs, xs)`) takes the duplex column sums.
+
+All three dividers keep the partial remainder in a fixed-width big-endian
+window and change it only by `_window_sub`, one borrow sweep of a row
+padded to the window's width: M+1 digits and the rows divisor*q for
+straight division, len(y)+2 bits in two's complement and the rows +y and
+-y for the two bit dividers, which share one body (`_bit_divide`).
+Straight division keeps each divisor's scale, normalized digits and rows
+(built on first use) in a `_Divisor` record; the last divisor's record is
+kept, so a run of divisions by one modulus normalizes it and builds each
+row once.
 """
 
 from __future__ import annotations
@@ -26,39 +32,19 @@ def _trim(digits: list) -> list:
     return digits
 
 
-def _cmp(a: list, b: list) -> int:
-    n = len(a)
-    m = len(b)
-    if n != m:
-        return -1 if n < m else 1
-    for i in range(n - 1, -1, -1):
-        x = a[i]
-        y = b[i]
-        if x != y:
-            return -1 if x < y else 1
-    return 0
-
-
-def _sub_inplace(a: list, b: list, base: int) -> list:
-    # a -= b, requires a >= b; walks b's digits, then the borrow run only
+def _window_sub(a: list, b: list, base: int, sweep) -> None:
+    # a -= b on equal-width big-endian windows: one borrow sweep over the
+    # indices in sweep, least significant first; a borrow out of the top
+    # is dropped, so the window wraps like a fixed-width register
     borrow = 0
-    for i, y in enumerate(b):
-        t = a[i] - y - borrow
+    for i in sweep:
+        t = a[i] - b[i] - borrow
         if t < 0:
             a[i] = t + base
             borrow = 1
         else:
             a[i] = t
             borrow = 0
-    i = len(b)
-    while borrow:
-        if a[i]:
-            a[i] -= 1
-            borrow = 0
-        else:
-            a[i] = base - 1
-        i += 1
-    return _trim(a)
 
 
 def _carry(cols: list, base: int) -> list:
@@ -170,7 +156,8 @@ def div_straight(xs: list, ys: list, base: int, want_trace: bool = False):
     big-endian digits (M = len(ys)); a step drops its top digit, zero as
     the partial stays below the divisor, and appends the next.  At equal
     width list order is numeric order: the adjust loop steps down while the
-    window is below the padded row, then one borrow sweep subtracts it.
+    window is below the padded row, then `_window_sub` subtracts it in one
+    borrow sweep, as in the bit dividers.
 
     Returns (quotient, remainder, max_adjust, trace) with trace a list of
     (step, K, q_estimate, adjustments, q, r) tuples or None.
@@ -204,15 +191,7 @@ def div_straight(xs: list, ys: list, base: int, want_trace: bool = False):
             sub = d[qhat]
         adj = q_est - qhat
         if qhat:
-            borrow = 0
-            for i in sweep:
-                t = W[i] - sub[i] - borrow
-                if t < 0:
-                    W[i] = t + base
-                    borrow = 1
-                else:
-                    W[i] = t
-                    borrow = 0
+            _window_sub(W, sub, base, sweep)
         quotient.append(qhat)
         if adj > max_adjust:
             max_adjust = adj
@@ -229,66 +208,52 @@ def div_straight(xs: list, ys: list, base: int, want_trace: bool = False):
     return _trim(quotient[::-1]), _trim(W[::-1]), max_adjust, trace
 
 
-def div_restoring(x_bits: list, y_bits: list):
-    """Bit-serial restoring division: shift in one dividend bit, attempt a
-    subtraction of the divisor, keep it only when it does not underflow.
-
-    Returns (quotient_bits, remainder_bits, subtract_attempts)."""
+def _bit_divide(x_bits: list, y_bits: list, restoring: bool):
+    # The partial remainder is a window of len(y_bits) + 2 big-endian bits
+    # in two's complement, room for every partial from -2y to 2y.  Each
+    # step shifts in one dividend bit, then changes the window only by one
+    # borrow sweep of the padded row plus (+y) or minus (-y).
     if not y_bits:
         raise ZeroDivisionError("division by zero")
     n = len(x_bits)
-    R: list = []
+    w = len(y_bits) + 2
+    sweep = range(w - 1, -1, -1)
+    plus = [0, 0] + y_bits[::-1]
+    minus = [0] * w
+    _window_sub(minus, plus, 2, sweep)
+    W = [0] * w
     Q = [0] * n
-    attempts = 0
     for i in range(n - 1, -1, -1):
-        R.insert(0, x_bits[i])
-        _trim(R)
-        attempts += 1
-        if _cmp(R, y_bits) >= 0:
-            _sub_inplace(R, y_bits, 2)
+        sign = W.pop(0)  # the previous partial's sign
+        W.append(x_bits[i])
+        if not restoring:
+            _window_sub(W, minus if sign else plus, 2, sweep)
+            Q[i] = 1 - W[0]
+        elif W >= plus:
+            _window_sub(W, plus, 2, sweep)
             Q[i] = 1
-    return _trim(Q), R, attempts
+    if W[0]:
+        _window_sub(W, minus, 2, sweep)  # the final add-back
+    return _trim(Q), _trim(W[::-1]), n
+
+
+def div_restoring(x_bits: list, y_bits: list):
+    """Bit-serial restoring division: shift in one dividend bit, compare
+    the partial with the divisor, subtract it only when the partial is not
+    below it.  The partial is a fixed window of len(y_bits) + 2 bits that
+    one borrow sweep of the zero-padded divisor changes.
+
+    Returns (quotient_bits, remainder_bits, subtract_attempts)."""
+    return _bit_divide(x_bits, y_bits, True)
 
 
 def div_nonrestoring(x_bits: list, y_bits: list):
-    """Bit-serial non-restoring division: add or subtract the divisor each
-    step depending on the running sign, no intermediate restore, one final
-    add-back when the last partial is negative.
+    """Bit-serial non-restoring division: shift in one dividend bit, then
+    subtract the divisor when the previous partial is non-negative, else
+    add it, with no intermediate restore; the quotient bit is the inverted
+    new sign, and one final add-back follows when the last partial is
+    negative.  The partial is a fixed window of len(y_bits) + 2 bits in
+    two's complement; adding y is one borrow sweep of the padded row -y.
 
     Returns (quotient_bits, remainder_bits, addsub_steps)."""
-    if not y_bits:
-        raise ZeroDivisionError("division by zero")
-    n = len(x_bits)
-    R: list = []  # magnitude of the partial remainder
-    neg = False
-    Q = [0] * n
-    for i in range(n - 1, -1, -1):
-        bit = x_bits[i]
-        if not neg:
-            R.insert(0, bit)
-            _trim(R)
-            if _cmp(R, y_bits) >= 0:
-                _sub_inplace(R, y_bits, 2)
-            else:
-                R = _rsub(y_bits, R)
-                neg = True
-        else:
-            R.insert(0, 0)
-            _trim(R)
-            if bit:
-                _sub_inplace(R, [1], 2)
-            if _cmp(R, y_bits) <= 0:
-                R = _rsub(y_bits, R)
-                neg = False
-            else:
-                _sub_inplace(R, y_bits, 2)
-        Q[i] = 0 if neg else 1
-    if neg:
-        R = _rsub(y_bits, R)
-    return _trim(Q), R, n
-
-
-def _rsub(a: list, b: list) -> list:
-    # a - b into a fresh list (base 2), requires a >= b
-    out = list(a)
-    return _sub_inplace(out, b, 2)
+    return _bit_divide(x_bits, y_bits, False)

@@ -64,11 +64,12 @@ def toy_keypair():
 @pytest.fixture(scope="session")
 def compiled(tmp_path_factory):
     """The compiled twin, always built from the shipped `_ckernels.c` into
-    a temporary directory, where any compiler warning fails the build; an
-    installed build is not used, so an edited source is always the one
-    checked.  The build is loaded as a bare module and not registered as a
-    backend, so the default backend does not change; a test that needs it
-    as a backend registers it for itself."""
+    a temporary directory, where any compiler warning (-Wall -Wextra, bar
+    unused parameters) fails the build; an installed build is not used, so
+    an edited source is always the one checked.  The build is loaded as a
+    bare module and not registered as a backend, so the default backend
+    does not change; a test that needs it as a backend registers it for
+    itself."""
     cc = shutil.which("gcc") or shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler to build the compiled kernels")
@@ -78,7 +79,8 @@ def compiled(tmp_path_factory):
     )
     paths = sysconfig.get_paths()
     includes = sorted({f"-I{paths['include']}", f"-I{paths['platinclude']}"})
-    flags = ["-O2", "-Wall", "-Werror", "-shared", "-fPIC", *includes]
+    strict = ["-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror"]
+    flags = ["-O2", *strict, "-shared", "-fPIC", *includes]
     subprocess.run([cc, *flags, str(source), "-o", str(target)], check=True)
     spec = importlib.util.spec_from_file_location("vedarith._ckernels", target)
     module = importlib.util.module_from_spec(spec)

@@ -143,6 +143,18 @@ def test_kernels_agree_on_edge_shapes(compiled):
         ([1] * 1000, [1] * 1000, 2),
         ([1] * 1000, [1] * 13, 2),
     ]
+    # the bit dividers' window holds len(ys) + 2 bits
+    y = to_digits(45, 2)
+    cases += [
+        ([1, 0, 1, 1, 0, 1], [1], 2),  # one-bit divisor: a three-bit window
+        ([1, 1, 0, 1, 0, 1, 1], [0, 0, 0, 1], 2),  # a power of two
+        ([0, 1, 1, 0, 1, 1, 1, 0, 1], [1] * 5, 2),  # all ones
+        (y, y, 2),
+        (to_digits(2 * 45 - 1, 2), y, 2),  # the widest partial, 2y - 1
+        (to_digits(2 * 45, 2), y, 2),
+        ([1, 1], y, 2),  # shorter than the divisor: the final add-back
+        ([], y, 2),
+    ]
     for xs, ys, base in cases:
         for name in ("mul_vedic", "mul_shift_add"):
             got = getattr(compiled, name)(xs, ys, base)
@@ -151,12 +163,15 @@ def test_kernels_agree_on_edge_shapes(compiled):
             assert got == getattr(_pykernels, name)(xs, xs, base), (name, base)
         if not ys:
             continue
+        want = divmod(to_int(xs, base), to_int(ys, base))
         got = compiled.div_straight(xs, ys, base, True)
         assert got == _pykernels.div_straight(xs, ys, base, True), base
+        assert (to_int(got[0], base), to_int(got[1], base)) == want, base
         if base == 2:
             for name in ("div_restoring", "div_nonrestoring"):
                 got = getattr(compiled, name)(xs, ys)
                 assert got == getattr(_pykernels, name)(xs, ys), name
+                assert (to_int(got[0], 2), to_int(got[1], 2)) == want, (name, xs, ys)
 
 
 def test_compiled_kernels_do_not_leak(compiled):
@@ -172,9 +187,11 @@ def test_compiled_kernels_do_not_leak(compiled):
         compiled.div_straight(ys, xs, 10, True)  # dividend shorter: early return
         compiled.div_restoring(bits, ybits)
         compiled.div_nonrestoring(bits, ybits)
+        compiled.div_nonrestoring(ybits, bits)  # last partial negative
         for kernel, args, error in (
             (compiled.div_straight, (xs, [], 10), ZeroDivisionError),
             (compiled.div_restoring, (bits, []), ZeroDivisionError),
+            (compiled.div_restoring, (bits, [1, 2]), ValueError),
             (compiled.mul_vedic, (xs, [3, -2], 10), OverflowError),
             (compiled.mul_shift_add, (xs, [3, -2], 10), OverflowError),
             (compiled.div_straight, ([7, -1], ys, 10, True), OverflowError),
