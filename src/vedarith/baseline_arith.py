@@ -39,7 +39,11 @@ def _bit_divide(dividend: Natural, divisor: Natural, kernel: str) -> DivResult:
     base = numeral.same_base(dividend, divisor)
     if divisor.is_zero():
         raise ZeroDivisionError("division by zero")
+    b = int(base)
     q, r, _ = getattr(backend.kernels(), kernel)(
-        numeral.to_bits(dividend), numeral.to_bits(divisor)
+        numeral.bits_of(dividend.digits, b), numeral.bits_of(divisor.digits, b)
     )
-    return DivResult(numeral.from_bits(q, base), numeral.from_bits(r, base))
+    return DivResult(
+        numeral._from_canonical(tuple(numeral.digits_of(q, b)), base),
+        numeral._from_canonical(tuple(numeral.digits_of(r, b)), base),
+    )

@@ -150,10 +150,10 @@ class _Workload:
     def runner(self, algorithm: str):
         op = self.operation
         if op == "mul":
-            fn = modexp.MULTIPLIERS[algorithm]
+            fn = modexp.MULTIPLIERS[algorithm].run
             return lambda args: fn(*args).digits
         if op == "div":
-            fn = modexp.DIVIDERS[algorithm]
+            fn = modexp.DIVIDERS[algorithm].run
 
             def run_div(args, fn=fn):
                 res = fn(*args)

@@ -113,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_mul(args) -> int:
     a = numeral.parse(args.a, args.base)
     b = numeral.parse(args.b, args.base)
-    print(numeral.format(modexp.MULTIPLIERS[args.algo](a, b)))
+    print(numeral.format(modexp.MULTIPLIERS[args.algo].run(a, b)))
     return 0
 
 
@@ -127,7 +127,7 @@ def _cmd_div(args) -> int:
         for step in steps:
             print(step.as_line())
     else:
-        result = modexp.DIVIDERS[args.algo](x, y)
+        result = modexp.DIVIDERS[args.algo].run(x, y)
     print(f"q={numeral.format(result.quotient)} r={numeral.format(result.remainder)}")
     return 0
 
@@ -152,7 +152,10 @@ def _cmd_keygen(args) -> int:
     if args.bits is not None:
         if any(v is not None for v in manual):
             raise _UsageError("give either --bits/--seed or --p/--q/--j, not both")
-        pair = rsa.keygen_random(args.bits, args.seed, base=Base.HEX)
+        try:
+            pair = rsa.keygen_random(args.bits, args.seed, base=Base.HEX)
+        except ValueError as exc:  # a --bits width out of range
+            raise _UsageError(str(exc)) from exc
     else:
         if any(v is None for v in manual):
             raise _UsageError("keygen needs --p, --q and --j (or --bits)")

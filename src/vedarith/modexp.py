@@ -5,25 +5,43 @@ both are pluggable: a Strategy picks the multiplier (cross-product or
 shift-add) and the divider (straight, restoring or non-restoring), so the
 same exponentiation can be timed against each arithmetic backend.  Results
 are identical for every combination.
+
+A modular product works on digit lists, with each modulus prepared once:
+one kernel multiply, then one kernel division whose quotient is dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
-from . import baseline_arith, numeral, vedic_div, vedic_mul
-from .numeral import Base, Natural, Ordering
+from . import backend, baseline_arith, numeral, vedic_div, vedic_mul
+from .numeral import Natural, Ordering
+
+
+class Algorithm:
+    """One registered algorithm: its public function on Naturals (`run`),
+    and the kernel that does its work on digit lists (on bit lists when
+    `on_bits`)."""
+
+    __slots__ = ("run", "kernel", "on_bits")
+
+    def __init__(self, run, kernel: str, on_bits: bool = False):
+        self.run, self.kernel, self.on_bits = run, kernel, on_bits
+
 
 # The algorithm registry: every name a Strategy, the bench or the CLI
-# accepts, mapped to its public function.
+# accepts, mapped to its public function and its kernel.
 MULTIPLIERS = {
-    "vedic": vedic_mul.multiply,
-    "shift_add": baseline_arith.shift_add_multiply,
+    "vedic": Algorithm(vedic_mul.multiply, "mul_vedic"),
+    "shift_add": Algorithm(baseline_arith.shift_add_multiply, "mul_shift_add"),
 }
 DIVIDERS = {
-    "vedic": vedic_div.divide,
-    "restoring": baseline_arith.restoring_divide,
-    "nonrestoring": baseline_arith.nonrestoring_divide,
+    "vedic": Algorithm(vedic_div.divide, "div_straight"),
+    "restoring": Algorithm(baseline_arith.restoring_divide, "div_restoring", True),
+    "nonrestoring": Algorithm(
+        baseline_arith.nonrestoring_divide, "div_nonrestoring", True
+    ),
 }
 
 
@@ -40,12 +58,6 @@ class Strategy:
         if self.divider not in DIVIDERS:
             raise ValueError(f"unknown divider {self.divider!r}")
 
-    def multiply(self, a: Natural, b: Natural) -> Natural:
-        return MULTIPLIERS[self.multiplier](a, b)
-
-    def divide(self, a: Natural, b: Natural) -> vedic_div.DivResult:
-        return DIVIDERS[self.divider](a, b)
-
 
 DEFAULT_STRATEGY = Strategy()
 
@@ -57,24 +69,64 @@ def all_strategies() -> tuple[Strategy, ...]:
     )
 
 
+class _Modulus:
+    """One modulus's fixed data.  Data only: kernels are looked up on the
+    active backend at every call, so a backend switch or a wrapped kernel
+    is always seen."""
+
+    def __init__(self, n: Natural):
+        if n.is_zero():
+            raise ZeroDivisionError("modulus is zero")
+        self.base = int(n.base)
+        self.digits = list(n.digits)  # the kernels take lists
+        self.top = self.digits[::-1]  # big-endian, for the value >= n test
+
+    @cached_property
+    def bits(self) -> list:
+        """n's bit list for the bit dividers, built on first use."""
+        return numeral.bits_of(self.digits, self.base)
+
+
+# The last modulus's record, keyed on the immutable Natural n.
+_modulus = lru_cache(maxsize=1)(_Modulus)
+
+
+def _reduce(xs: list, m: _Modulus, divider: Algorithm) -> list:
+    """The remainder of digit list xs by the modulus; xs itself when its
+    value is below n (length first, then the big-endian digits)."""
+    if len(xs) < len(m.top) or (len(xs) == len(m.top) and xs[::-1] < m.top):
+        return xs
+    kernel = getattr(backend.kernels(), divider.kernel)
+    if not divider.on_bits:
+        return kernel(xs, m.digits, m.base)[1]
+    return numeral.digits_of(kernel(numeral.bits_of(xs, m.base), m.bits)[1], m.base)
+
+
 def mod_reduce(a: Natural, n: Natural, strategy: Strategy = DEFAULT_STRATEGY) -> Natural:
-    """Remainder of a by n, using the strategy's divider."""
-    if n.is_zero():
-        raise ZeroDivisionError("modulus is zero")
-    if numeral.compare(a, n) is Ordering.LESS:
-        return a
-    return strategy.divide(a, n).remainder
+    """Remainder of a by n, using the strategy's divider; a itself when it
+    is already below n."""
+    numeral.same_base(a, n)
+    xs = list(a.digits)
+    rs = _reduce(xs, _modulus(n), DIVIDERS[strategy.divider])
+    return a if rs is xs else numeral._from_canonical(tuple(rs), n.base)
 
 
 def mod_mul(
     a: Natural, b: Natural, n: Natural, strategy: Strategy = DEFAULT_STRATEGY
 ) -> Natural:
-    """(a * b) mod n via the strategy's multiplier then divider."""
-    if n.is_zero():
-        raise ZeroDivisionError("modulus is zero")
-    a = mod_reduce(a, n, strategy)
-    b = mod_reduce(b, n, strategy)
-    return mod_reduce(strategy.multiply(a, b), n, strategy)
+    """(a * b) mod n via the strategy's multiplier then divider: an operand
+    is reduced only when it is not below n, then one kernel product and one
+    reduction.  `mod_mul(a, a, n)` hands the multiplier one list, so the
+    cross-product multiplier squares by its duplex path."""
+    numeral.same_base(a, n)
+    numeral.same_base(b, n)
+    m = _modulus(n)
+    divider = DIVIDERS[strategy.divider]
+    xs = _reduce(list(a.digits), m, divider)
+    ys = xs if b is a else _reduce(list(b.digits), m, divider)
+    multiply = getattr(backend.kernels(), MULTIPLIERS[strategy.multiplier].kernel)
+    product = _reduce(multiply(xs, ys, m.base), m, divider)
+    return numeral._from_canonical(tuple(product), n.base)
 
 
 def mod_pow(

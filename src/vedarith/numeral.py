@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import product
 
 
 class ParseError(ValueError):
@@ -250,42 +251,55 @@ def convert(x: Natural, base: Base) -> Natural:
 
 
 def bit_length(x: Natural) -> int:
-    if x.is_zero():
-        return 0
-    if x.base is Base.DEC:
-        return to_int(x).bit_length()
-    d = x.base.digit_bits
-    return (len(x.digits) - 1) * d + x.digits[-1].bit_length()
+    return len(to_bits(x))
 
 
 def to_bits(x: Natural) -> list[int]:
     """Little-endian bit list of the value (canonical: no leading zeros)."""
-    if x.base is Base.DEC:
-        v = to_int(x)
-        return [(v >> i) & 1 for i in range(v.bit_length())]
-    width = x.base.digit_bits
-    bits = []
-    for d in x.digits:
-        for i in range(width):
-            bits.append((d >> i) & 1)
-    while bits and bits[-1] == 0:
-        bits.pop()
-    return bits
+    return bits_of(x.digits, int(x.base))
 
 
 def from_bits(bits: list[int], base: Base = DEFAULT_BASE) -> Natural:
     """Inverse of to_bits for any supported base."""
+    if not set(bits) <= {0, 1}:
+        raise ValueError("bits must be 0 or 1")
     base = Base(base)
-    if base is Base.DEC:
+    return _from_canonical(tuple(digits_of(bits, int(base))), base)
+
+
+# Power-of-two bases go through one table each way: the little-endian bits
+# of every digit value, and the digit of every bit group of each width.
+_BITS_OF_DIGIT = {
+    1 << w: [bits[::-1] for bits in product((0, 1), repeat=w)]
+    for w in _DIGIT_BITS.values()
+}
+_DIGIT_OF_BITS = {
+    bits: d for table in _BITS_OF_DIGIT.values() for d, bits in enumerate(table)
+}
+
+
+def bits_of(digits, base: int) -> list[int]:
+    """Little-endian bits of canonical little-endian digits, trimmed."""
+    if base == 10:
+        v = to_int(_from_canonical(tuple(digits), Base.DEC))
+        return [(v >> i) & 1 for i in range(v.bit_length())]
+    table = _BITS_OF_DIGIT[base]
+    bits = [b for d in digits for b in table[d]]
+    while bits and not bits[-1]:
+        bits.pop()
+    return bits
+
+
+def digits_of(bits: list[int], base: int) -> list[int]:
+    """Canonical little-endian digits of a little-endian 0/1 list."""
+    if base == 10:
         v = 0
         for b in reversed(bits):
             v = v * 2 + b
-        return from_int(v, base)
-    width = base.digit_bits
-    digits = []
-    for i in range(0, len(bits), width):
-        d = 0
-        for j, b in enumerate(bits[i : i + width]):
-            d |= b << j
-        digits.append(d)
-    return Natural(tuple(digits), base)
+        return list(from_int(v, Base.DEC).digits)
+    width = _DIGIT_BITS[base]
+    groups = zip(*[iter(bits + [0] * (-len(bits) % width))] * width)
+    digits = list(map(_DIGIT_OF_BITS.__getitem__, groups))
+    while digits and not digits[-1]:
+        digits.pop()
+    return digits

@@ -49,18 +49,24 @@ class KeyPair:
     totient: Natural
 
 
-# Strong-pseudoprime witnesses: exact for every candidate below 3.3e24,
-# far beyond anything this package generates.
-MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Strong-pseudoprime witnesses: the first thirteen primes, which no
+# composite below psi13 = 3317044064679887385961981 (about 2**81.46) passes
+# (Sorenson and Webster, Math. Comp. 86 (2017)).  The first twelve are not
+# enough: 318665857834031151167461 = 399165290221 * 798330580441 passes them.
+MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# Widest prime keygen_random draws: below 2**81 < psi13 is_prime is exact.
+MAX_PRIME_BITS = 81
 
 # Below this, plain trial division is cheap and settles primality exactly.
 _TRIAL_LIMIT = 1 << 20
 
 
 def is_prime(n: Natural, strategy: Strategy = DEFAULT_STRATEGY) -> bool:
-    """Exact primality test: trial division for small values, deterministic
-    Miller-Rabin (witnesses above) beyond, with the modular exponentiations
-    running on this package's own arithmetic."""
+    """Primality test: trial division for small values, Miller-Rabin with
+    the witnesses above beyond, with the modular exponentiations running on
+    this package's own arithmetic.  Exact below psi13; above it, True only
+    means a strong probable prime to those thirteen bases."""
     v = numeral.to_int(n)
     if v < 2:
         return False
@@ -70,7 +76,7 @@ def is_prime(n: Natural, strategy: Strategy = DEFAULT_STRATEGY) -> bool:
         if v % p == 0:
             return False
     if v < _TRIAL_LIMIT:
-        f = 41
+        f = 43
         while f * f <= v:
             if v % f == 0:
                 return False
@@ -147,7 +153,7 @@ def keygen(
     inverse of j modulo (p-1)(q-1) and re-verifies j*i = 1 (mod totient)
     with the package's own modular arithmetic before returning.
     """
-    base = numeral.same_base(p, q)
+    numeral.same_base(p, q)
     numeral.same_base(p, j)
     if not is_prime(p, strategy):
         raise ValueError(f"p = {numeral.format(p)} is not prime")
@@ -155,7 +161,13 @@ def keygen(
         raise ValueError(f"q = {numeral.format(q)} is not prime")
     if numeral.compare(p, q) is Ordering.EQUAL:
         raise ValueError("primes p and q must be distinct")
-    one = numeral.one(base)
+    return _key_pair(p, q, j, strategy)
+
+
+def _key_pair(p: Natural, q: Natural, j: Natural, strategy: Strategy) -> KeyPair:
+    """The key pair of two distinct proved primes p, q of one base and a
+    public exponent j of that base; checks j and the derived exponent."""
+    one = numeral.one(p.base)
     modulus = vedic_mul.multiply(p, q)
     # cross-check the modulus with the second multiplier
     if numeral.compare(modulus, shift_add_multiply(p, q)) is not Ordering.EQUAL:
@@ -199,11 +211,17 @@ def keygen_random(
 ) -> KeyPair:
     """Seeded key generation: primes of bits//2 bits each are drawn from the
     LCG and retried until prime and distinct; identical seeds give identical
-    key pairs."""
+    key pairs.  Each prime is proved once, by the draw; bits//2 may not
+    exceed MAX_PRIME_BITS, where that proof stops being exact."""
     if bits < 8:
         raise ValueError("modulus width must be at least 8 bits")
-    rng = Lcg64(seed)
     half = bits // 2
+    if half > MAX_PRIME_BITS:
+        raise ValueError(
+            f"modulus width must be at most {2 * MAX_PRIME_BITS + 1} bits: "
+            f"primality is proved only below 2**{MAX_PRIME_BITS}"
+        )
+    rng = Lcg64(seed)
     p = _draw_prime(rng, half, base, strategy)
     while True:
         q = _draw_prime(rng, half, base, strategy)
@@ -221,7 +239,7 @@ def keygen_random(
         cand = rng.below(k_int - 3) + 3
         if math.gcd(cand, k_int) == 1:
             j_int = cand
-    return keygen(p, q, numeral.from_int(j_int, base), strategy)
+    return _key_pair(p, q, numeral.from_int(j_int, base), strategy)
 
 
 def _draw_prime(rng: Lcg64, nbits: int, base: Base, strategy: Strategy) -> Natural:

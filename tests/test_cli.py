@@ -92,6 +92,9 @@ def test_keygen_argument_validation(capsys):
     assert code == 2 and "keygen needs" in err
     code, _, err = run(capsys, "keygen", "--bits", "24", "--p", "61", "--q", "53", "--j", "17")
     assert code == 2
+    for bits in ("4", "164"):
+        code, out, err = run(capsys, "keygen", "--bits", bits)
+        assert code == 2 and err.startswith("usage error: modulus width") and out == ""
 
 
 def test_encrypt_requires_public_key(capsys, tmp_path):

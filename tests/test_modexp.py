@@ -188,3 +188,73 @@ def test_traces():
 def test_mod_pow_accepts_exponent_in_any_base():
     b_dec = numeral.parse("17", Base.DEC)
     assert val(modexp.mod_pow(nat(65), b_dec, nat(3233))) == 2790
+
+
+def test_mod_mul_on_both_backends_matches_int(compiled, monkeypatch):
+    # every strategy and base, operands 0, 1, n-1, n, beyond n and a is b,
+    # with the backend switched between calls on one prepared modulus
+    from vedarith import backend
+
+    monkeypatch.setitem(backend._BACKENDS, "compiled", compiled)
+    rng = Lcg64(67)
+    for base in (Base.BIN, Base.QUAT, Base.DEC, Base.HEX, Base.BYTE):
+        for _ in range(scaled(12, 4)):
+            n = rng.bits(rng.below(40) + 2) | 2
+            values = (0, 1, n - 1, n, n + 1, 2 * n, rng.bits(90), rng.below(n))
+            for s in modexp.all_strategies():
+                for a in values:
+                    for name in ("pure", "compiled"):
+                        with backend.use(name):
+                            x = nat(a, base)
+                            assert val(modexp.mod_mul(x, x, nat(n, base), s)) == a * a % n
+                            got = modexp.mod_mul(x, nat(values[-2], base), nat(n, base), s)
+                            assert val(got) == a * values[-2] % n
+                            assert got.base is base
+
+
+def test_mod_mul_rejects_mixed_bases():
+    n = nat(3233)
+    with pytest.raises(numeral.BaseMismatchError):
+        modexp.mod_mul(nat(5, Base.DEC), nat(7), n)
+    with pytest.raises(numeral.BaseMismatchError):
+        modexp.mod_mul(nat(5), nat(7, Base.DEC), n)
+    with pytest.raises(numeral.BaseMismatchError):
+        modexp.mod_reduce(nat(5, Base.DEC), n)
+    with pytest.raises(ZeroDivisionError):
+        modexp.mod_mul(nat(5), nat(7), numeral.zero(Base.HEX))
+
+
+def test_restoring_kernel_runs_once_per_reduction_not_below_n(monkeypatch):
+    # the kernel is looked up at every call, so a wrapper set on the module
+    # after the modulus was prepared still sees every division: one per
+    # reduced value that is not below n
+    from vedarith import _pykernels, backend
+
+    calls = []
+    kernel = _pykernels.div_restoring
+
+    def counting(x_bits, y_bits):
+        calls.append(1)
+        return kernel(x_bits, y_bits)
+
+    strategy = Strategy("vedic", "restoring")
+    rng = Lcg64(71)
+    with backend.use("pure"):
+        for _ in range(40):
+            n = rng.bits(24) | 3
+            a, e = rng.bits(rng.below(40) + 1), rng.bits(rng.below(20) + 1) | 1
+            want = a >= n  # the base is reduced once, then each product
+            m = base = a % n
+            for bit in bin(e)[3:]:
+                want += m * m >= n
+                m = m * m % n
+                if bit == "1":
+                    want += m * base >= n
+                    m = m * base % n
+            modexp.mod_reduce(nat(a), nat(n), strategy)  # prepares n
+            with monkeypatch.context() as patch:
+                patch.setattr(_pykernels, "div_restoring", counting)
+                calls.clear()
+                got = modexp.mod_pow(nat(a), nat(e), nat(n), strategy)
+            assert val(got) == pow(a, e, n)
+            assert len(calls) == want

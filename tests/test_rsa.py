@@ -46,6 +46,15 @@ def test_is_prime_beyond_trial_range():
     assert not rsa.is_prime(nat(561))
 
 
+def test_is_prime_rejects_the_twelve_base_pseudoprime():
+    # psi12: a strong pseudoprime to every base 2..37; witness 41 exposes it
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert rsa.is_prime(nat(399165290221)) and rsa.is_prime(nat(798330580441))
+    assert not rsa.is_prime(nat(psi12))
+    assert not rsa.is_prime(nat(psi12, Base.DEC))
+
+
 def test_is_prime_random_against_oracle():
     rng = Lcg64(13)
     for _ in range(300):
@@ -230,3 +239,32 @@ def test_message_bytes_helpers():
     assert val(m) == 0x6869
     assert rsa.natural_to_message(m) == b"hi"
     assert rsa.natural_to_message(numeral.zero(Base.HEX)) == b""
+
+
+def test_keygen_random_proves_each_prime_once(monkeypatch):
+    proved = []
+    is_prime = rsa.is_prime
+
+    def counting(n, strategy=modexp.DEFAULT_STRATEGY):
+        verdict = is_prime(n, strategy)
+        if verdict:
+            proved.append(val(n))
+        return verdict
+
+    monkeypatch.setattr(rsa, "is_prime", counting)
+    pair = rsa.keygen_random(128, 5)
+    assert sorted(proved) == sorted([val(pair.p), val(pair.q)])
+    # the same key as before the second proof was dropped
+    assert numeral.format(pair.public.modulus) == "d081645accad9085bb90a106f958088f"
+    assert val(pair.public.exponent) == 17
+    assert numeral.format(pair.private.exponent) == "c43d8ba0c0a35ad684850de3d7254471"
+
+
+def test_keygen_random_width_bound():
+    # primes of bits // 2 bits must stay below 2**81, where is_prime is exact
+    assert rsa.MAX_PRIME_BITS == 81
+    for bits in (164, 165, 1024):
+        with pytest.raises(ValueError, match="at most 163 bits"):
+            rsa.keygen_random(bits, 1)
+    with pytest.raises(ValueError, match="at least 8"):
+        rsa.keygen_random(7, 1)
