@@ -6,17 +6,16 @@ shift-add) and the divider (straight, restoring or non-restoring), so the
 same exponentiation can be timed against each arithmetic backend.  Results
 are identical for every combination.
 
-A modular product works on digit lists, with each modulus prepared once:
-one kernel multiply, then one kernel division whose quotient is dropped.
+A modular product works on digit lists: one kernel multiply, then one
+kernel division whose quotient is dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 
 from . import backend, baseline_arith, numeral, vedic_div, vedic_mul
-from .numeral import Natural, Ordering
+from .numeral import Natural
 
 
 class Algorithm:
@@ -69,37 +68,19 @@ def all_strategies() -> tuple[Strategy, ...]:
     )
 
 
-class _Modulus:
-    """One modulus's fixed data.  Data only: kernels are looked up on the
-    active backend at every call, so a backend switch or a wrapped kernel
-    is always seen."""
-
-    def __init__(self, n: Natural):
-        if n.is_zero():
-            raise ZeroDivisionError("modulus is zero")
-        self.base = int(n.base)
-        self.digits = list(n.digits)  # the kernels take lists
-        self.top = self.digits[::-1]  # big-endian, for the value >= n test
-
-    @cached_property
-    def bits(self) -> list:
-        """n's bit list for the bit dividers, built on first use."""
-        return numeral.bits_of(self.digits, self.base)
-
-
-# The last modulus's record, keyed on the immutable Natural n.
-_modulus = lru_cache(maxsize=1)(_Modulus)
-
-
-def _reduce(xs: list, m: _Modulus, divider: Algorithm) -> list:
-    """The remainder of digit list xs by the modulus; xs itself when its
-    value is below n (length first, then the big-endian digits)."""
-    if len(xs) < len(m.top) or (len(xs) == len(m.top) and xs[::-1] < m.top):
+def _reduce(xs: list, ns: list, base: int, divider: Algorithm) -> list:
+    """The remainder of digit list xs by n's digit list ns; xs itself when
+    its value is below n (length first, then the big-endian digits).  No
+    value is below a zero n, so every call with one reaches the check."""
+    if len(xs) < len(ns) or (len(xs) == len(ns) and xs[::-1] < ns[::-1]):
         return xs
+    if not ns:
+        raise ZeroDivisionError("modulus is zero")
     kernel = getattr(backend.kernels(), divider.kernel)
     if not divider.on_bits:
-        return kernel(xs, m.digits, m.base)[1]
-    return numeral.digits_of(kernel(numeral.bits_of(xs, m.base), m.bits)[1], m.base)
+        return kernel(xs, ns, base)[1]
+    bits = kernel(numeral.bits_of(xs, base), numeral.bits_of(ns, base))[1]
+    return numeral.digits_of(bits, base)
 
 
 def mod_reduce(a: Natural, n: Natural, strategy: Strategy = DEFAULT_STRATEGY) -> Natural:
@@ -107,7 +88,7 @@ def mod_reduce(a: Natural, n: Natural, strategy: Strategy = DEFAULT_STRATEGY) ->
     is already below n."""
     numeral.same_base(a, n)
     xs = list(a.digits)
-    rs = _reduce(xs, _modulus(n), DIVIDERS[strategy.divider])
+    rs = _reduce(xs, list(n.digits), int(n.base), DIVIDERS[strategy.divider])
     return a if rs is xs else numeral._from_canonical(tuple(rs), n.base)
 
 
@@ -120,12 +101,12 @@ def mod_mul(
     cross-product multiplier squares by its duplex path."""
     numeral.same_base(a, n)
     numeral.same_base(b, n)
-    m = _modulus(n)
+    ns, base = list(n.digits), int(n.base)  # the kernels take lists
     divider = DIVIDERS[strategy.divider]
-    xs = _reduce(list(a.digits), m, divider)
-    ys = xs if b is a else _reduce(list(b.digits), m, divider)
+    xs = _reduce(list(a.digits), ns, base, divider)
+    ys = xs if b is a else _reduce(list(b.digits), ns, base, divider)
     multiply = getattr(backend.kernels(), MULTIPLIERS[strategy.multiplier].kernel)
-    product = _reduce(multiply(xs, ys, m.base), m, divider)
+    product = _reduce(multiply(xs, ys, base), ns, base, divider)
     return numeral._from_canonical(tuple(product), n.base)
 
 
@@ -154,7 +135,7 @@ def mod_pow_traced(
 
 
 def _check_modulus(n: Natural) -> None:
-    if n.is_zero() or numeral.compare(n, numeral.one(n.base)) is Ordering.EQUAL:
+    if n.digits in ((), (1,)):
         raise ValueError("modulus must be greater than 1")
 
 

@@ -55,7 +55,7 @@ class KeyPair:
 # enough: 318665857834031151167461 = 399165290221 * 798330580441 passes them.
 MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-# Widest prime keygen_random draws: below 2**81 < psi13 is_prime is exact.
+# Widest prime either keygen takes: below 2**81 < psi13 is_prime is exact.
 MAX_PRIME_BITS = 81
 
 # Below this, plain trial division is cheap and settles primality exactly.
@@ -151,10 +151,18 @@ def keygen(
 
     Checks every stated precondition, derives the private exponent as the
     inverse of j modulo (p-1)(q-1) and re-verifies j*i = 1 (mod totient)
-    with the package's own modular arithmetic before returning.
+    with the package's own modular arithmetic before returning.  p and q
+    may not be wider than MAX_PRIME_BITS, so both primality proofs are
+    exact.
     """
     numeral.same_base(p, q)
     numeral.same_base(p, j)
+    for name, prime in (("p", p), ("q", q)):
+        if numeral.bit_length(prime) > MAX_PRIME_BITS:
+            raise ValueError(
+                f"{name} = {numeral.format(prime)} is wider than {MAX_PRIME_BITS} "
+                f"bits: primality is proved only below 2**{MAX_PRIME_BITS}"
+            )
     if not is_prime(p, strategy):
         raise ValueError(f"p = {numeral.format(p)} is not prime")
     if not is_prime(q, strategy):

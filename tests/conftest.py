@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from vedarith import _pykernels, backend, numeral, selftest
+from vedarith import _pykernels, backend, numeral
 from vedarith.numeral import Base
 from vedarith.randgen import Lcg64
 
@@ -46,12 +46,6 @@ def random_value(rng: Lcg64, max_digits: int, base: Base) -> int:
     for _ in range(ndigits):
         v = v * int(base) + rng.below(int(base))
     return v
-
-
-@pytest.fixture(scope="session")
-def division_small_suite():
-    """The exhaustive three-way division sweep, shared by several tests."""
-    return selftest.division_agreement_small()
 
 
 @pytest.fixture(scope="session")

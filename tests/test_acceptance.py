@@ -1,5 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line
-(run with `pytest -s tests/test_acceptance.py -v` to see them).
+(run with `pytest -s tests/test_acceptance.py -v` to see them), plus the
+selftest.  They run on pure here and again on the compiled twin in
+test_acceptance_compiled.py.
 
 Everything is exact integer arithmetic, so tolerances are equalities; the
 stated runtime ceilings are asserted alongside the results.
@@ -7,12 +9,27 @@ stated runtime ceilings are asserted alongside the results.
 
 import time
 
+import pytest
+
 from conftest import nat, val
-from vedarith import bench, cli, modexp, numeral, rsa, selftest, vedic_div, vedic_mul
+from vedarith import backend, bench, cli, modexp, numeral, rsa, selftest, vedic_div, vedic_mul
 from vedarith.bench import BenchConfig
 from vedarith.modexp import Strategy
 from vedarith.numeral import Base, Ordering
 from vedarith.randgen import Lcg64
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _on_pure():
+    with backend.use("pure"):
+        yield
+
+
+@pytest.fixture(scope="module")
+def division_small_suite(_on_pure):
+    """The exhaustive three-way division sweep, shared by criteria 4 and 9
+    and the selftest."""
+    return selftest.division_agreement_small()
 
 
 def _report(num: int, desc: str, ok: bool, elapsed: float, detail: str = ""):
@@ -270,4 +287,17 @@ def test_criterion_9_adjust_bound(division_small_suite):
         f"adjust iterations (worst seen: {max_adjust})",
         division_small_suite.failed == 0 and max_adjust <= 2,
         elapsed,
+    )
+
+
+def test_selftest_passes_every_suite(capsys, monkeypatch, division_small_suite):
+    # the division sweep is the one criteria 4 and 9 already ran on this backend
+    monkeypatch.setattr(selftest, "division_agreement_small", lambda: division_small_suite)
+    code = cli.main(["selftest"])
+    assert code == 0 and capsys.readouterr().out == (
+        "multiplier-exhaustive-8bit: pass=65536 fail=0 ok\n"
+        "division-agreement-small: pass=262144 fail=0 ok\n"
+        "golden-trace-division: pass=3 fail=0 ok\n"
+        "rsa-roundtrip-3233: pass=3233 fail=0 ok\n"
+        "total: pass=330916 fail=0\n"
     )

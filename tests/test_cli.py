@@ -97,6 +97,15 @@ def test_keygen_argument_validation(capsys):
         assert code == 2 and err.startswith("usage error: modulus width") and out == ""
 
 
+def test_keygen_refuses_a_prime_beyond_the_exact_bound(capsys, tmp_path):
+    # psi13 passes is_prime but is composite; keygen refuses it by width
+    prefix = str(tmp_path / "k")
+    psi13 = "3317044064679887385961981"
+    code, out, err = run(capsys, "keygen", "--p", psi13, "--q", "53", "--j", "17", "--out", prefix)
+    assert code == 1 and "wider than 81 bits" in err and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_encrypt_requires_public_key(capsys, tmp_path):
     pair = rsa.keygen_random(24, seed=3)
     priv = tmp_path / "k.priv"

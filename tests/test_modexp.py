@@ -192,7 +192,7 @@ def test_mod_pow_accepts_exponent_in_any_base():
 
 def test_mod_mul_on_both_backends_matches_int(compiled, monkeypatch):
     # every strategy and base, operands 0, 1, n-1, n, beyond n and a is b,
-    # with the backend switched between calls on one prepared modulus
+    # with the backend switched between calls on one modulus
     from vedarith import backend
 
     monkeypatch.setitem(backend._BACKENDS, "compiled", compiled)
@@ -226,8 +226,8 @@ def test_mod_mul_rejects_mixed_bases():
 
 def test_restoring_kernel_runs_once_per_reduction_not_below_n(monkeypatch):
     # the kernel is looked up at every call, so a wrapper set on the module
-    # after the modulus was prepared still sees every division: one per
-    # reduced value that is not below n
+    # after n was already used sees every division: one per reduced value
+    # that is not below n
     from vedarith import _pykernels, backend
 
     calls = []
@@ -251,7 +251,7 @@ def test_restoring_kernel_runs_once_per_reduction_not_below_n(monkeypatch):
                 if bit == "1":
                     want += m * base >= n
                     m = m * base % n
-            modexp.mod_reduce(nat(a), nat(n), strategy)  # prepares n
+            modexp.mod_reduce(nat(a), nat(n), strategy)  # n used before the wrapper
             with monkeypatch.context() as patch:
                 patch.setattr(_pykernels, "div_restoring", counting)
                 calls.clear()

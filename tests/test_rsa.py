@@ -128,6 +128,19 @@ def test_keygen_rejects_bad_inputs():
         rsa.keygen(nat(61), nat(53), numeral.one(Base.HEX))
 
 
+def test_keygen_rejects_primes_beyond_the_exact_bound():
+    # psi13 is a strong pseudoprime to all thirteen witnesses, so is_prime
+    # passes it; keygen refuses it by width before any primality test
+    psi13 = 3317044064679887385961981
+    assert psi13 == 1287836182261 * 2575672364521
+    assert rsa.is_prime(nat(psi13))
+    mersenne61 = (1 << 61) - 1
+    with pytest.raises(ValueError, match="p = .* wider than 81 bits"):
+        rsa.keygen(nat(psi13), nat(mersenne61), nat(65537))
+    with pytest.raises(ValueError, match="q = .* wider than 81 bits"):
+        rsa.keygen(nat(mersenne61), nat(psi13), nat(65537))
+
+
 def test_keygen_invariants_hold(toy_keypair):
     pair = toy_keypair
     assert val(pair.p) * val(pair.q) == val(pair.public.modulus)
