@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_kg.add_argument("--q")
     p_kg.add_argument("--j")
     p_kg.add_argument("--bits", type=int)
-    p_kg.add_argument("--seed", type=int, default=1)
+    p_kg.add_argument("--seed", type=int, help="LCG seed for --bits (default 1)")
     p_kg.add_argument("--base", type=_base_arg, default=Base.DEC)
     p_kg.add_argument("--out", default="rsa_key", help="output path prefix")
     p_kg.set_defaults(func=_cmd_keygen)
@@ -149,11 +149,11 @@ def _cmd_modpow(args) -> int:
 
 def _cmd_keygen(args) -> int:
     manual = [args.p, args.q, args.j]
+    if any(v is not None for v in manual) and (args.bits, args.seed) != (None, None):
+        raise _UsageError("give either --bits/--seed or --p/--q/--j, not both")
     if args.bits is not None:
-        if any(v is not None for v in manual):
-            raise _UsageError("give either --bits/--seed or --p/--q/--j, not both")
         try:
-            pair = rsa.keygen_random(args.bits, args.seed, base=Base.HEX)
+            pair = rsa.keygen_random(args.bits, 1 if args.seed is None else args.seed)
         except ValueError as exc:  # a --bits width out of range
             raise _UsageError(str(exc)) from exc
     else:

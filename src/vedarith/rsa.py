@@ -58,15 +58,13 @@ MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Widest prime either keygen takes: below 2**81 < psi13 is_prime is exact.
 MAX_PRIME_BITS = 81
 
-# Below this, plain trial division is cheap and settles primality exactly.
-_TRIAL_LIMIT = 1 << 20
 
-
-def is_prime(n: Natural, strategy: Strategy = DEFAULT_STRATEGY) -> bool:
-    """Primality test: trial division for small values, Miller-Rabin with
-    the witnesses above beyond, with the modular exponentiations running on
-    this package's own arithmetic.  Exact below psi13; above it, True only
-    means a strong probable prime to those thirteen bases."""
+def is_prime(n: Natural) -> bool:
+    """Primality test: trial division by the witnesses above, then
+    Miller-Rabin to those same bases, with the modular exponentiations
+    running on this package's own arithmetic.  Exact below psi13, small n
+    included; above it, True only means a strong probable prime to those
+    thirteen bases."""
     v = numeral.to_int(n)
     if v < 2:
         return False
@@ -75,19 +73,7 @@ def is_prime(n: Natural, strategy: Strategy = DEFAULT_STRATEGY) -> bool:
             return True
         if v % p == 0:
             return False
-    if v < _TRIAL_LIMIT:
-        f = 43
-        while f * f <= v:
-            if v % f == 0:
-                return False
-            f += 2
-        return True
-    return _miller_rabin(n, strategy)
-
-
-def _miller_rabin(n: Natural, strategy: Strategy) -> bool:
-    base = n.base
-    one = numeral.one(base)
+    one = numeral.one(n.base)
     n_minus_1 = numeral.sub(n, one)
     # n - 1 = d * 2**s with d odd
     bits = numeral.to_bits(n_minus_1)
@@ -96,62 +82,25 @@ def _miller_rabin(n: Natural, strategy: Strategy) -> bool:
         s += 1
     d = numeral.from_bits(bits[s:], Base.BIN)
     for w in MR_WITNESSES:
-        a = numeral.from_int(w, base)
-        x = modexp.mod_pow(a, d, n, strategy)
-        if numeral.compare(x, one) is Ordering.EQUAL:
+        x = modexp.mod_pow(numeral.from_int(w, n.base), d, n)
+        if x == one or x == n_minus_1:
             continue
-        if numeral.compare(x, n_minus_1) is Ordering.EQUAL:
-            continue
-        witness_of_compositeness = True
         for _ in range(s - 1):
-            x = modexp.mod_mul(x, x, n, strategy)
-            if numeral.compare(x, n_minus_1) is Ordering.EQUAL:
-                witness_of_compositeness = False
+            x = modexp.mod_mul(x, x, n)
+            if x == n_minus_1:
                 break
-        if witness_of_compositeness:
+        else:
             return False
     return True
 
 
-def extended_gcd(
-    a: Natural, b: Natural
-) -> tuple[Natural, int, Natural, int, Natural]:
-    """gcd plus signed coefficients: returns (g, x_sign, x_mag, y_sign, y_mag)
-    with x*a + y*b = g.  Signs are +1/-1 carried separately because Natural
-    is unsigned."""
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    base = numeral.same_base(a, b)
-    g, x, y = _ext_gcd_ints(numeral.to_int(a), numeral.to_int(b))
-    return (
-        numeral.from_int(g, base),
-        1 if x >= 0 else -1,
-        numeral.from_int(abs(x), base),
-        1 if y >= 0 else -1,
-        numeral.from_int(abs(y), base),
-    )
-
-
-def _ext_gcd_ints(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_r, old_x, old_y
-
-
-def keygen(
-    p: Natural, q: Natural, j: Natural, strategy: Strategy = DEFAULT_STRATEGY
-) -> KeyPair:
+def keygen(p: Natural, q: Natural, j: Natural) -> KeyPair:
     """Build a key pair from chosen primes and public exponent.
 
     Checks every stated precondition, derives the private exponent as the
-    inverse of j modulo (p-1)(q-1) and re-verifies j*i = 1 (mod totient)
-    with the package's own modular arithmetic before returning.  p and q
+    inverse of j modulo (p-1)(q-1), the one in [0, totient) that Python's
+    `pow(j, -1, totient)` gives, and re-verifies j*i = 1 (mod totient) with
+    the package's own modular arithmetic before returning.  p and q
     may not be wider than MAX_PRIME_BITS, so both primality proofs are
     exact.
     """
@@ -163,16 +112,16 @@ def keygen(
                 f"{name} = {numeral.format(prime)} is wider than {MAX_PRIME_BITS} "
                 f"bits: primality is proved only below 2**{MAX_PRIME_BITS}"
             )
-    if not is_prime(p, strategy):
+    if not is_prime(p):
         raise ValueError(f"p = {numeral.format(p)} is not prime")
-    if not is_prime(q, strategy):
+    if not is_prime(q):
         raise ValueError(f"q = {numeral.format(q)} is not prime")
     if numeral.compare(p, q) is Ordering.EQUAL:
         raise ValueError("primes p and q must be distinct")
-    return _key_pair(p, q, j, strategy)
+    return _key_pair(p, q, j)
 
 
-def _key_pair(p: Natural, q: Natural, j: Natural, strategy: Strategy) -> KeyPair:
+def _key_pair(p: Natural, q: Natural, j: Natural) -> KeyPair:
     """The key pair of two distinct proved primes p, q of one base and a
     public exponent j of that base; checks j and the derived exponent."""
     one = numeral.one(p.base)
@@ -186,17 +135,15 @@ def _key_pair(p: Natural, q: Natural, j: Natural, strategy: Strategy) -> KeyPair
         or numeral.compare(j, totient) is not Ordering.LESS
     ):
         raise ValueError("public exponent must satisfy 1 < j < (p-1)(q-1)")
-    g, x_sign, x_mag, _, _ = extended_gcd(j, totient)
-    if numeral.compare(g, one) is not Ordering.EQUAL:
+    j_int, k_int = numeral.to_int(j), numeral.to_int(totient)
+    g = math.gcd(j_int, k_int)
+    if g != 1:
         raise ValueError(
             "public exponent shares a factor with (p-1)(q-1): "
-            f"gcd = {numeral.format(g)}"
+            f"gcd = {numeral.format(numeral.from_int(g, p.base))}"
         )
-    # x*j + y*totient = 1 with 0 < |x| < totient, so x mod totient is
-    # either x or totient - |x|
-    private_exp = x_mag if x_sign > 0 else numeral.sub(totient, x_mag)
-    check = modexp.mod_mul(j, private_exp, totient, strategy)
-    if numeral.compare(check, one) is not Ordering.EQUAL:
+    private_exp = numeral.from_int(pow(j_int, -1, k_int), p.base)
+    if modexp.mod_mul(j, private_exp, totient) != one:
         raise AssertionError("private exponent failed the inverse check")
     return KeyPair(
         public=RsaPublicKey(modulus, j),
@@ -211,16 +158,11 @@ def _key_pair(p: Natural, q: Natural, j: Natural, strategy: Strategy) -> KeyPair
 _J_CANDIDATES = (3, 5, 17, 257, 65537)
 
 
-def keygen_random(
-    bits: int,
-    seed: int,
-    base: Base = numeral.DEFAULT_BASE,
-    strategy: Strategy = DEFAULT_STRATEGY,
-) -> KeyPair:
+def keygen_random(bits: int, seed: int) -> KeyPair:
     """Seeded key generation: primes of bits//2 bits each are drawn from the
     LCG and retried until prime and distinct; identical seeds give identical
-    key pairs.  Each prime is proved once, by the draw; bits//2 may not
-    exceed MAX_PRIME_BITS, where that proof stops being exact."""
+    key pairs, in hex.  Each prime is proved once, by the draw; bits//2 may
+    not exceed MAX_PRIME_BITS, where that proof stops being exact."""
     if bits < 8:
         raise ValueError("modulus width must be at least 8 bits")
     half = bits // 2
@@ -230,12 +172,12 @@ def keygen_random(
             f"primality is proved only below 2**{MAX_PRIME_BITS}"
         )
     rng = Lcg64(seed)
-    p = _draw_prime(rng, half, base, strategy)
+    p = _draw_prime(rng, half)
     while True:
-        q = _draw_prime(rng, half, base, strategy)
+        q = _draw_prime(rng, half)
         if numeral.compare(p, q) is not Ordering.EQUAL:
             break
-    one = numeral.one(base)
+    one = numeral.one(p.base)
     totient = vedic_mul.multiply(numeral.sub(p, one), numeral.sub(q, one))
     k_int = numeral.to_int(totient)
     j_int = None
@@ -247,14 +189,14 @@ def keygen_random(
         cand = rng.below(k_int - 3) + 3
         if math.gcd(cand, k_int) == 1:
             j_int = cand
-    return _key_pair(p, q, numeral.from_int(j_int, base), strategy)
+    return _key_pair(p, q, numeral.from_int(j_int, p.base))
 
 
-def _draw_prime(rng: Lcg64, nbits: int, base: Base, strategy: Strategy) -> Natural:
+def _draw_prime(rng: Lcg64, nbits: int) -> Natural:
     while True:
         v = rng.bits(nbits) | (1 << (nbits - 1)) | 1  # full width, odd
-        candidate = numeral.from_int(v, base)
-        if is_prime(candidate, strategy):
+        candidate = numeral.from_int(v)
+        if is_prime(candidate):
             return candidate
 
 

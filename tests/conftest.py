@@ -55,6 +55,26 @@ def toy_keypair():
     return rsa.keygen(nat(61), nat(53), nat(17))
 
 
+def c_compiler() -> str:
+    """The C compiler the compiled twin is built with; skips without one."""
+    cc = shutil.which("gcc") or shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler to build the compiled kernels")
+    return cc
+
+
+def build_ckernels(cc: str, directory: Path, flags: list[str]) -> Path:
+    """Build the shipped `_ckernels.c` into `directory` with `flags`; returns
+    the path of the extension module."""
+    source = Path(_pykernels.__file__).with_name("_ckernels.c")
+    target = directory / ("_ckernels" + sysconfig.get_config_var("EXT_SUFFIX"))
+    paths = sysconfig.get_paths()
+    includes = sorted({f"-I{paths['include']}", f"-I{paths['platinclude']}"})
+    command = [cc, *flags, "-shared", "-fPIC", *includes, str(source)]
+    subprocess.run([*command, "-o", str(target)], check=True)
+    return target
+
+
 @pytest.fixture(scope="session")
 def compiled(tmp_path_factory):
     """The compiled twin, always built from the shipped `_ckernels.c` into
@@ -64,18 +84,10 @@ def compiled(tmp_path_factory):
     bare module and not registered as a backend, so the default backend
     does not change; a test that needs it as a backend registers it for
     itself."""
-    cc = shutil.which("gcc") or shutil.which("cc")
-    if cc is None:
-        pytest.skip("no C compiler to build the compiled kernels")
-    source = Path(_pykernels.__file__).with_name("_ckernels.c")
-    target = tmp_path_factory.mktemp("ckernels") / (
-        "_ckernels" + sysconfig.get_config_var("EXT_SUFFIX")
-    )
-    paths = sysconfig.get_paths()
-    includes = sorted({f"-I{paths['include']}", f"-I{paths['platinclude']}"})
     strict = ["-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror"]
-    flags = ["-O2", *strict, "-shared", "-fPIC", *includes]
-    subprocess.run([cc, *flags, str(source), "-o", str(target)], check=True)
+    target = build_ckernels(
+        c_compiler(), tmp_path_factory.mktemp("ckernels"), ["-O2", *strict]
+    )
     spec = importlib.util.spec_from_file_location("vedarith._ckernels", target)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

@@ -1,10 +1,15 @@
 """Differential tests: the compiled kernels must match the pure ones
 bit for bit, and the dispatcher must honor explicit selection."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from conftest import build_ckernels, c_compiler
 from vedarith import _pykernels, backend
 from vedarith.randgen import Lcg64
 
@@ -217,6 +222,35 @@ def test_compiled_kernels_do_not_leak(compiled):
     finally:
         tracemalloc.stop()
     assert grown <= 4096, f"traced memory grew by {grown} bytes"
+
+
+def test_compiled_kernels_pass_the_sanitizers(tmp_path):
+    # AddressSanitizer sees an out-of-bounds read or write that -Wall and
+    # tracemalloc do not; the uninstrumented interpreter needs the runtime
+    # preloaded, and PYTHONMALLOC=malloc puts its objects on the checked heap
+    cc = c_compiler()
+    flags = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+    target = build_ckernels(cc, tmp_path, flags)
+    libasan = subprocess.run(
+        [cc, "-print-file-name=libasan.so"], capture_output=True, text=True, check=True
+    ).stdout.strip()
+    src = str(Path(_pykernels.__file__).parents[1])
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+        LD_PRELOAD=libasan,
+        PYTHONMALLOC="malloc",
+        ASAN_OPTIONS="detect_leaks=0",
+    )
+    corpus = Path(__file__).with_name("sanitizer_corpus.py")
+    done = subprocess.run(
+        [sys.executable, str(corpus), str(target), "3000"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "3000 rounds clean\n"
 
 
 def test_compiled_kernels_reject_out_of_range_input(compiled):

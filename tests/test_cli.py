@@ -87,11 +87,16 @@ def test_keygen_seeded(capsys, tmp_path):
     assert (tmp_path / "rk.pub").read_text() == (tmp_path / "rk2.pub").read_text()
 
 
-def test_keygen_argument_validation(capsys):
+def test_keygen_argument_validation(capsys, tmp_path):
     code, _, err = run(capsys, "keygen", "--p", "61", "--q", "53")
     assert code == 2 and "keygen needs" in err
     code, _, err = run(capsys, "keygen", "--bits", "24", "--p", "61", "--q", "53", "--j", "17")
     assert code == 2
+    prefix = str(tmp_path / "k")
+    manual = ("--p", "61", "--q", "53", "--j", "17", "--out", prefix)
+    code, out, err = run(capsys, "keygen", *manual, "--seed", "5")
+    assert code == 2 and "not both" in err and out == ""
+    assert list(tmp_path.iterdir()) == []
     for bits in ("4", "164"):
         code, out, err = run(capsys, "keygen", "--bits", bits)
         assert code == 2 and err.startswith("usage error: modulus width") and out == ""

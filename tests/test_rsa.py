@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from conftest import nat, val
@@ -62,43 +64,32 @@ def test_is_prime_random_against_oracle():
         assert rsa.is_prime(nat(v)) == trial_division_is_prime(v), v
 
 
-def test_extended_gcd_examples():
-    g, xs, xm, ys, ym = rsa.extended_gcd(nat(6), nat(9))
-    assert val(g) == 3
-    assert xs * val(xm) * 6 + ys * val(ym) * 9 == 3
-
-    g, xs, xm, _, _ = rsa.extended_gcd(nat(7), numeral.zero(Base.HEX))
-    assert val(g) == 7 and xs == 1 and val(xm) == 1
-
-    with pytest.raises(ValueError):
-        rsa.extended_gcd(numeral.zero(Base.HEX), numeral.zero(Base.HEX))
+def _random_prime(rng: Lcg64, nbits: int) -> int:
+    while True:
+        v = rng.bits(nbits) | (1 << (nbits - 1)) | 1
+        if rsa.is_prime(nat(v)):
+            return v
 
 
-def test_extended_gcd_inverse_of_17_mod_3120():
-    # oracle check first: 17 * 2753 = 46801 = 15 * 3120 + 1
-    assert 17 * 2753 == 15 * 3120 + 1
-    g, xs, xm, ys, ym = rsa.extended_gcd(nat(17), nat(3120))
-    assert val(g) == 1
-    assert xs * val(xm) * 17 + ys * val(ym) * 3120 == 1
-    assert (xs * val(xm)) % 3120 == 2753
-
-
-def test_extended_gcd_random_bezout_identity():
+def test_keygen_private_exponent_matches_the_inverse_oracle():
     rng = Lcg64(17)
-    for _ in range(400):
-        a = rng.bits(rng.below(48) + 1)
-        b = rng.bits(rng.below(48) + 1)
-        if a == 0 and b == 0:
-            continue
-        import math
-
-        g, xs, xm, ys, ym = rsa.extended_gcd(nat(a), nat(b))
-        assert val(g) == math.gcd(a, b)
-        assert xs * val(xm) * a + ys * val(ym) * b == val(g)
+    for _ in range(50):
+        p, q = 0, 0
+        while p == q:
+            p, q = (_random_prime(rng, rng.below(33) + 8) for _ in range(2))
+        totient = (p - 1) * (q - 1)
+        j = 0
+        while math.gcd(j, totient) != 1:
+            j = rng.below(totient - 2) + 2
+        pair = rsa.keygen(nat(p), nat(q), nat(j))
+        assert val(pair.private.exponent) == pow(j, -1, totient), (p, q, j)
+    with pytest.raises(ValueError, match="shares a factor with .*: gcd = 4$"):
+        rsa.keygen(nat(61), nat(53), nat(4))
 
 
 def test_keygen_classic_pair(toy_keypair):
-    # private exponent confirmed with the extended-Euclid oracle above
+    # oracle: 17 * 2753 = 46801 = 15 * 3120 + 1
+    assert 17 * 2753 == 15 * 3120 + 1
     pair = toy_keypair
     assert val(pair.public.modulus) == 3233
     assert val(pair.totient) == 3120
@@ -258,8 +249,8 @@ def test_keygen_random_proves_each_prime_once(monkeypatch):
     proved = []
     is_prime = rsa.is_prime
 
-    def counting(n, strategy=modexp.DEFAULT_STRATEGY):
-        verdict = is_prime(n, strategy)
+    def counting(n):
+        verdict = is_prime(n)
         if verdict:
             proved.append(val(n))
         return verdict
