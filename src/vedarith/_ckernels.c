@@ -133,16 +133,20 @@ window_less(const u64 *a, const u64 *b, Py_ssize_t w)
 }
 
 /* a -= b, one borrow sweep from the low end; a borrow out of the top is
-   dropped, so the window wraps like a fixed-width register */
+   dropped, so the window wraps like a fixed-width register.  No branch
+   depends on the digits: with digits below 2**16, a - b - borrow wraps in
+   u64 exactly when it is negative, so its top bit is the next borrow, and
+   base & -borrow adds base back only then (Hacker's Delight, 2nd ed.,
+   section 2-16). */
 static void
 window_sub(u64 *a, const u64 *b, Py_ssize_t w, u64 base)
 {
     u64 borrow = 0, t;
     Py_ssize_t i;
     for (i = 0; i < w; i++) {
-        t = b[i] + borrow;
-        borrow = a[i] < t;
-        a[i] = borrow ? a[i] + base - t : a[i] - t;
+        t = a[i] - b[i] - borrow;
+        borrow = t >> 63;
+        a[i] = t + (base & -borrow);
     }
 }
 

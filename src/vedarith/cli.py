@@ -72,7 +72,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_kg.add_argument("--j")
     p_kg.add_argument("--bits", type=int)
     p_kg.add_argument("--seed", type=int, help="LCG seed for --bits (default 1)")
-    p_kg.add_argument("--base", type=_base_arg, default=Base.DEC)
+    p_kg.add_argument(
+        "--base", type=_base_arg, help="base of --p/--q/--j (default 10)"
+    )
     p_kg.add_argument("--out", default="rsa_key", help="output path prefix")
     p_kg.set_defaults(func=_cmd_keygen)
 
@@ -152,6 +154,8 @@ def _cmd_keygen(args) -> int:
     if any(v is not None for v in manual) and (args.bits, args.seed) != (None, None):
         raise _UsageError("give either --bits/--seed or --p/--q/--j, not both")
     if args.bits is not None:
+        if args.base is not None:
+            raise _UsageError("--base applies to --p/--q/--j; --bits keys are hex")
         try:
             pair = rsa.keygen_random(args.bits, 1 if args.seed is None else args.seed)
         except ValueError as exc:  # a --bits width out of range
@@ -159,9 +163,8 @@ def _cmd_keygen(args) -> int:
     else:
         if any(v is None for v in manual):
             raise _UsageError("keygen needs --p, --q and --j (or --bits)")
-        p = numeral.convert(numeral.parse(args.p, args.base), Base.HEX)
-        q = numeral.convert(numeral.parse(args.q, args.base), Base.HEX)
-        j = numeral.convert(numeral.parse(args.j, args.base), Base.HEX)
+        base = Base.DEC if args.base is None else args.base
+        p, q, j = (numeral.convert(numeral.parse(v, base), Base.HEX) for v in manual)
         pair = rsa.keygen(p, q, j)
     pub_path = f"{args.out}.pub"
     priv_path = f"{args.out}.priv"

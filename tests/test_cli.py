@@ -74,6 +74,14 @@ def test_keygen_encrypt_decrypt_files(capsys, tmp_path):
     code, out, _ = run(capsys, "decrypt", "--key", f"{prefix}.priv", "2790")
     assert code == 0 and out == "65\n"
 
+    # --base reads --p/--q/--j in another base; the key files match
+    hex_prefix = str(tmp_path / "hexkey")
+    code, _, _ = run(
+        capsys, "keygen", "--p", "3d", "--q", "35", "--j", "11", "--base", "16", "--out", hex_prefix
+    )
+    assert code == 0
+    assert (tmp_path / "hexkey.priv").read_text() == (tmp_path / "key.priv").read_text()
+
 
 def test_keygen_seeded(capsys, tmp_path):
     prefix = str(tmp_path / "rk")
@@ -96,6 +104,9 @@ def test_keygen_argument_validation(capsys, tmp_path):
     manual = ("--p", "61", "--q", "53", "--j", "17", "--out", prefix)
     code, out, err = run(capsys, "keygen", *manual, "--seed", "5")
     assert code == 2 and "not both" in err and out == ""
+    # seeded keys are always hex, so --base has nothing to apply to
+    code, out, err = run(capsys, "keygen", "--bits", "24", "--base", "10", "--out", prefix)
+    assert code == 2 and "--base" in err and out == ""
     assert list(tmp_path.iterdir()) == []
     for bits in ("4", "164"):
         code, out, err = run(capsys, "keygen", "--bits", bits)

@@ -57,6 +57,70 @@ def test_is_prime_rejects_the_twelve_base_pseudoprime():
     assert not rsa.is_prime(nat(psi12, Base.DEC))
 
 
+def miller_rabin_oracle(v: int) -> bool:
+    # Python-int Miller-Rabin to the first thirteen primes: exact below psi13
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if v < 2 or any(v % p == 0 for p in bases):
+        return v in bases
+    d, s = v - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, v)
+        if x in (1, v - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % v
+            if x == v - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_accepts_the_primes_that_divide_a_base():
+    # each divides one of the seven bases, whose residue is then 0 and skipped
+    for v in (73, 193, 407521, 299210837):
+        assert any(w % v == 0 for w in rsa.MR_BASES_64), v
+        assert rsa.is_prime(nat(v)) and rsa.is_prime(nat(v, Base.DEC)), v
+
+
+def test_is_prime_rejects_composites_below_2_to_the_64():
+    # products of the base-dividing primes, Carmichael numbers, and the
+    # least strong pseudoprimes to the first k primes (OEIS A014233, k <= 12)
+    a014233 = (
+        2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 3825123056546413051,
+    )
+    for v in (14089, 5329, 561, 41041, *a014233):
+        assert not miller_rabin_oracle(v), v
+        assert not rsa.is_prime(nat(v)) and not rsa.is_prime(nat(v, Base.DEC)), v
+
+
+def test_is_prime_seven_bases_agree_with_the_thirteen():
+    rng = Lcg64(64)
+    for _ in range(200):
+        v = (rng.below(2**64 - 2**32) + 2**32) | 1
+        assert rsa.is_prime(nat(v)) == miller_rabin_oracle(v), v
+
+
+def test_is_prime_picks_its_bases_by_the_size_of_n(monkeypatch):
+    calls = []
+    mod_pow = modexp.mod_pow
+
+    def counting(*args):
+        calls.append(args)
+        return mod_pow(*args)
+
+    monkeypatch.setattr(modexp, "mod_pow", counting)
+    # the widest prime below 2**64, the least above it, and a 70-bit prime
+    for v, exponentiations in ((2**64 - 59, 7), (2**64 + 13, 13), (2**70 - 35, 13)):
+        assert miller_rabin_oracle(v), v
+        calls.clear()
+        assert rsa.is_prime(nat(v)), v
+        assert len(calls) == exponentiations, v
+
+
 def test_is_prime_random_against_oracle():
     rng = Lcg64(13)
     for _ in range(300):
