@@ -1,22 +1,26 @@
 """Kernel backend selection.
 
 The compiled extension is preferred when importable; the pure-Python twin
-is the fallback.  `VEDARITH_BACKEND=pure|compiled` pins the choice at
-import time, and `use()` swaps it temporarily (handy for differential
-tests and the backend-comparison benchmark).
+is the fallback, and `COMPILED_IMPORT_ERROR` keeps why the extension did
+not import.  `VEDARITH_BACKEND=pure|compiled` pins the choice at import
+time, and `use()` swaps it temporarily (handy for differential tests and
+the backend-comparison benchmark).
 """
 
 from __future__ import annotations
 
+import importlib
 import os
 from contextlib import contextmanager
 
 from . import _pykernels
 
 try:
-    from . import _ckernels
-except ImportError:
-    _ckernels = None
+    _ckernels = importlib.import_module(f"{__package__}._ckernels")
+except ImportError as exc:
+    _ckernels, COMPILED_IMPORT_ERROR = None, str(exc)
+else:
+    COMPILED_IMPORT_ERROR = None
 
 _BACKENDS = {"pure": _pykernels}
 if _ckernels is not None:

@@ -7,9 +7,10 @@ stderr), 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from . import bench, modexp, numeral, rsa, selftest, vedic_div
+from . import __version__, backend, bench, modexp, numeral, rsa, selftest, vedic_div
 from .modexp import Strategy
 from .numeral import Base
 
@@ -95,6 +96,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_st = sub.add_parser("selftest", help="run the exhaustive verification suites")
     p_st.set_defaults(func=_cmd_selftest)
+
+    p_info = sub.add_parser("info", help="print the version and the active backend")
+    p_info.set_defaults(func=_cmd_info)
 
     p_b = sub.add_parser("bench", help="run the benchmark suite, CSV on stdout")
     p_b.add_argument("--widths", help="comma-separated operand bit widths")
@@ -215,6 +219,15 @@ def _cmd_selftest(args) -> int:
     total_fail = sum(r.failed for r in results)
     print(f"total: pass={total_pass} fail={total_fail}")
     return 1 if bad else 0
+
+
+def _cmd_info(args) -> int:
+    pinned = os.environ.get("VEDARITH_BACKEND")
+    print(f"vedarith {__version__}")
+    print(f"backend: {backend.active_name()}")
+    print(f"pinned by VEDARITH_BACKEND: {pinned or 'no'}")
+    print(f"compiled import: {backend.COMPILED_IMPORT_ERROR or 'ok'}")
+    return 0
 
 
 def _csv_ints(text: str) -> tuple:

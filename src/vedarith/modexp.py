@@ -12,10 +12,8 @@ kernel division whose quotient is dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import backend, baseline_arith, numeral, vedic_div, vedic_mul
-from .numeral import Natural
+from .numeral import Natural, Record
 
 
 class Algorithm:
@@ -44,18 +42,17 @@ DIVIDERS = {
 }
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(Record):
     """Which multiplier and divider implementations to run on."""
 
-    multiplier: str = "vedic"
-    divider: str = "vedic"
+    __slots__ = ("multiplier", "divider")
 
-    def __post_init__(self):
-        if self.multiplier not in MULTIPLIERS:
-            raise ValueError(f"unknown multiplier {self.multiplier!r}")
-        if self.divider not in DIVIDERS:
-            raise ValueError(f"unknown divider {self.divider!r}")
+    def __init__(self, multiplier: str = "vedic", divider: str = "vedic"):
+        if multiplier not in MULTIPLIERS:
+            raise ValueError(f"unknown multiplier {multiplier!r}")
+        if divider not in DIVIDERS:
+            raise ValueError(f"unknown divider {divider!r}")
+        super().__init__(multiplier, divider)
 
 
 DEFAULT_STRATEGY = Strategy()

@@ -11,7 +11,6 @@ works digit by digit, which is the whole point of the library.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import product
 
 
@@ -60,20 +59,58 @@ class Ordering(enum.Enum):
     GREATER = 1
 
 
-@dataclass(frozen=True, slots=True)
-class Natural:
+class Record:
+    """Immutable value whose fields are its `__slots__`: positional or
+    keyword construction, equality and hashing on the field values within
+    one type, and a `Type(field=value, ...)` repr.  The methods are written
+    once here, so no class factory generates them on import."""
+
+    __slots__ = ()
+
+    def __init__(self, *values, **named):
+        fields = self.__slots__
+        values += tuple(named.pop(f) for f in fields[len(values):] if f in named)
+        if len(values) != len(fields) or named:
+            raise TypeError(f"{type(self).__name__} takes the fields {fields}")
+        for field, value in zip(fields, values):
+            object.__setattr__(self, field, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = (f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({', '.join(args)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Natural(Record):
     """Unsigned integer as little-endian digits (digits[0] least significant).
 
     The constructor canonicalizes: trailing most-significant zeros are
     stripped, so the zero value is always the empty tuple.
     """
 
-    digits: tuple[int, ...]
-    base: Base = DEFAULT_BASE
+    __slots__ = ("digits", "base")
 
-    def __post_init__(self):
-        base = Base(self.base)
-        digits = tuple(self.digits)
+    def __init__(self, digits: tuple[int, ...], base: Base = DEFAULT_BASE):
+        base = Base(base)
+        digits = tuple(digits)
         n = len(digits)
         while n > 0 and digits[n - 1] == 0:
             n -= 1
@@ -88,6 +125,14 @@ class Natural:
                 raise ValueError(f"digit {d} out of range for base {int(base)}")
         object.__setattr__(self, "digits", digits)
         object.__setattr__(self, "base", base)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.digits, self.base) == (other.digits, other.base)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.digits, self.base))
 
     def is_zero(self) -> bool:
         return not self.digits

@@ -10,13 +10,13 @@ not production cryptography.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 from . import modexp, numeral, vedic_mul
 from .baseline_arith import shift_add_multiply
 from .modexp import DEFAULT_STRATEGY, Strategy
-from .numeral import Base, Natural, Ordering
+from .numeral import Base, Natural, Ordering, Record
 from .randgen import Lcg64
 
 
@@ -28,25 +28,16 @@ class MessageTooLargeError(ValueError):
     """Message or ciphertext is not below the modulus."""
 
 
-@dataclass(frozen=True)
-class RsaPublicKey:
-    modulus: Natural
-    exponent: Natural
+class RsaPublicKey(Record):
+    __slots__ = ("modulus", "exponent")
 
 
-@dataclass(frozen=True)
-class RsaPrivateKey:
-    modulus: Natural
-    exponent: Natural
+class RsaPrivateKey(Record):
+    __slots__ = ("modulus", "exponent")
 
 
-@dataclass(frozen=True)
-class KeyPair:
-    public: RsaPublicKey
-    private: RsaPrivateKey
-    p: Natural
-    q: Natural
-    totient: Natural
+class KeyPair(Record):
+    __slots__ = ("public", "private", "p", "q", "totient")
 
 
 # Strong-pseudoprime witnesses: the first thirteen primes, which no
@@ -65,8 +56,21 @@ MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 MAX_PRIME_BITS = 81
 
 
+def _primes_below(limit: int) -> tuple[int, ...]:
+    """Sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
+    for i in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
+    return tuple(compress(range(limit), sieve))
+
+
+# Trial divisors: every prime below 1000, the thirteen witnesses among them.
+SMALL_PRIMES = _primes_below(1000)
+
+
 def is_prime(n: Natural) -> bool:
-    """Primality test: trial division by the thirteen witnesses above, then
+    """Primality test: trial division by every prime below 1000, then
     Miller-Rabin to the seven bases MR_BASES_64 when n < 2**64 and to the
     thirteen witnesses otherwise, skipping a base that n divides.  The
     modular exponentiations run on this package's own arithmetic.  Exact
@@ -75,11 +79,9 @@ def is_prime(n: Natural) -> bool:
     v = numeral.to_int(n)
     if v < 2:
         return False
-    for p in MR_WITNESSES:
-        if v == p:
-            return True
+    for p in SMALL_PRIMES:
         if v % p == 0:
-            return False
+            return v == p
     one = numeral.one(n.base)
     n_minus_1 = numeral.sub(n, one)
     # n - 1 = d * 2**s with d odd

@@ -16,19 +16,21 @@ all of this on digit lists; this module converts to and from `Natural`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import backend, numeral
-from .numeral import Natural
+from .numeral import Natural, Record
 
 
-@dataclass(frozen=True)
-class DivResult:
+class DivResult(Record):
     """Quotient/remainder pair: quotient * divisor + remainder = dividend."""
 
-    quotient: Natural
-    remainder: Natural
+    __slots__ = ("quotient", "remainder")
+
+    # written out: every division builds one, and Record's loop costs more
+    def __init__(self, quotient: Natural, remainder: Natural):
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "remainder", remainder)
 
 
 class DivisionStep(NamedTuple):

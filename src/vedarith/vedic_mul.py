@@ -10,23 +10,17 @@ multiply into sixteen 4x4 units feeding seven cross-product columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import backend, numeral
-from .numeral import Natural
+from .numeral import Natural, Record
 
 GROUP_BITS = (1, 2, 4, 8)
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(Record):
     """How many d x d multiply units and cross-product columns an N-bit
     operand pair decomposes into."""
 
-    operand_bits: int
-    group_bits: int
-    module_count: int
-    column_count: int
+    __slots__ = ("operand_bits", "group_bits", "module_count", "column_count")
 
 
 def multiply(x: Natural, y: Natural) -> Natural:

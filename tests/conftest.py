@@ -4,6 +4,7 @@ test sizing, and the compiled kernels."""
 from __future__ import annotations
 
 import importlib.util
+import os
 import shutil
 import subprocess
 import sysconfig
@@ -53,6 +54,14 @@ def toy_keypair():
     from vedarith import rsa
 
     return rsa.keygen(nat(61), nat(53), nat(17))
+
+
+def package_env(**extra: str) -> dict:
+    """Environment for a child interpreter that imports this checkout's
+    package."""
+    src = str(Path(_pykernels.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def c_compiler() -> str:

@@ -1,7 +1,6 @@
 """Differential tests: the compiled kernels must match the pure ones
 bit for bit, and the dispatcher must honor explicit selection."""
 
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -9,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import build_ckernels, c_compiler
+from conftest import build_ckernels, c_compiler, package_env
 from vedarith import _pykernels, backend
 from vedarith.randgen import Lcg64
 
@@ -234,13 +233,8 @@ def test_compiled_kernels_pass_the_sanitizers(tmp_path):
     libasan = subprocess.run(
         [cc, "-print-file-name=libasan.so"], capture_output=True, text=True, check=True
     ).stdout.strip()
-    src = str(Path(_pykernels.__file__).parents[1])
-    env = dict(
-        os.environ,
-        PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
-        LD_PRELOAD=libasan,
-        PYTHONMALLOC="malloc",
-        ASAN_OPTIONS="detect_leaks=0",
+    env = package_env(
+        LD_PRELOAD=libasan, PYTHONMALLOC="malloc", ASAN_OPTIONS="detect_leaks=0"
     )
     corpus = Path(__file__).with_name("sanitizer_corpus.py")
     done = subprocess.run(

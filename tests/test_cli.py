@@ -1,6 +1,10 @@
+import subprocess
+import sys
+
 import pytest
 
-from vedarith import backend, cli, modexp, numeral, rsa, selftest
+from conftest import package_env
+from vedarith import __version__, backend, cli, modexp, numeral, rsa, selftest
 from vedarith.numeral import Base
 
 
@@ -200,6 +204,34 @@ def test_bench_cli_names_its_backend(capsys):
     assert code == 0
     assert len(out.splitlines()) == 3
     assert "# backend: pure" in err.splitlines()
+
+
+def test_info_names_the_backend_and_why(capsys, monkeypatch):
+    monkeypatch.delenv("VEDARITH_BACKEND", raising=False)
+    code, out, _ = run(capsys, "info")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:3] == [
+        f"vedarith {__version__}",
+        f"backend: {backend.active_name()}",
+        "pinned by VEDARITH_BACKEND: no",
+    ]
+    reason = lines[3].removeprefix("compiled import: ")
+    assert (reason == "ok") == ("compiled" in backend.available()), reason
+    assert reason == (backend.COMPILED_IMPORT_ERROR or "ok")
+
+
+def test_info_when_the_environment_pins_the_backend():
+    done = subprocess.run(
+        [sys.executable, "-m", "vedarith.cli", "info"],
+        env=package_env(VEDARITH_BACKEND="pure"),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[1:3] == ["backend: pure", "pinned by VEDARITH_BACKEND: pure"]
+    assert lines[3].startswith("compiled import: ")
 
 
 def test_cli_output_parses_back(capsys):

@@ -17,6 +17,8 @@ def naive_mod_pow(a: int, b: int, n: int) -> int:
 
 def test_strategy_validation():
     Strategy("vedic", "nonrestoring")
+    assert (Strategy().multiplier, Strategy().divider) == ("vedic", "vedic")
+    assert Strategy(divider="restoring") == Strategy("vedic", "restoring")
     with pytest.raises(ValueError):
         Strategy("karatsuba", "vedic")
     with pytest.raises(ValueError):

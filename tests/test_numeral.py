@@ -1,8 +1,13 @@
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import ALL_BASES, nat, val
+from conftest import ALL_BASES, nat, package_env, val
 from vedarith import numeral
+from vedarith.modexp import Strategy
 from vedarith.numeral import (
     Base,
     BaseMismatchError,
@@ -11,6 +16,9 @@ from vedarith.numeral import (
     ParseError,
     UnderflowError,
 )
+from vedarith.rsa import KeyPair, RsaPrivateKey, RsaPublicKey
+from vedarith.vedic_div import DivResult
+from vedarith.vedic_mul import StructureReport
 
 bases = st.sampled_from(ALL_BASES)
 values = st.integers(min_value=0, max_value=1 << 130)
@@ -75,6 +83,61 @@ def test_constructor_rejects_non_int_digits(bad):
 def test_equality_is_structural_including_base():
     assert nat(255, Base.HEX) != nat(255, Base.BYTE)
     assert nat(255, Base.HEX) == nat(255, Base.HEX)
+    assert hash(nat(255, Base.HEX)) == hash(Natural((15, 15, 0), Base.HEX))
+    assert repr(nat(255, Base.BYTE)) == "Natural('ff', base=256)"
+    assert repr(Natural((), Base.DEC)) == "Natural('0', base=10)"
+
+
+_N, _E, _I = nat(3233), nat(17), nat(2753)
+VALUE_TYPES = [
+    (Natural, ((1, 2), Base.HEX)),
+    (DivResult, (nat(454), nat(43))),
+    (StructureReport, (16, 4, 16, 7)),
+    (Strategy, ("shift_add", "restoring")),
+    (RsaPublicKey, (_N, _E)),
+    (RsaPrivateKey, (_N, _I)),
+    (
+        KeyPair,
+        (RsaPublicKey(_N, _E), RsaPrivateKey(_N, _I), nat(61), nat(53), nat(3120)),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, values", VALUE_TYPES, ids=[t.__name__ for t, _ in VALUE_TYPES]
+)
+def test_value_types_are_immutable_records(cls, values):
+    a = cls(*values)
+    assert tuple(getattr(a, f) for f in cls.__slots__) == values
+    b = cls(**dict(zip(cls.__slots__, values)))
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert pickle.loads(pickle.dumps(a)) == a
+    for field in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(a, field, values[0])
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    with pytest.raises(TypeError):
+        cls(*values, values[0])
+    if cls is not Natural:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(cls.__slots__, values))
+        assert repr(a) == f"{cls.__name__}({fields})"
+
+
+def test_values_of_different_types_differ():
+    assert RsaPublicKey(_N, _E) != RsaPrivateKey(_N, _E)
+    assert DivResult(_N, _E) != (_N, _E)
+
+
+def test_importing_the_library_loads_no_class_factory():
+    # a fresh interpreter: the package's value types are plain slotted classes
+    code = "import sys, vedarith, vedarith.rsa, vedarith.randgen\n"
+    code += "print('dataclasses' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=package_env(), capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_compare_examples():

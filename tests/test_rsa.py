@@ -121,6 +121,21 @@ def test_is_prime_picks_its_bases_by_the_size_of_n(monkeypatch):
         assert len(calls) == exponentiations, v
 
 
+def test_is_prime_trial_divides_by_every_prime_below_1000(monkeypatch):
+    calls = []
+    monkeypatch.setattr(modexp, "mod_pow", lambda *args: calls.append(args))
+    # 64-bit composites whose least prime factor is above the witnesses
+    for p, q in (
+        (43, 214497024112901773),
+        (409, 22551031874950559),
+        (997, 9251125413094069),
+    ):
+        assert miller_rabin_oracle(q) and 2**63 <= p * q < 2**64
+        assert not rsa.is_prime(nat(p * q)), p
+        assert rsa.is_prime(nat(p)), p
+    assert calls == []
+
+
 def test_is_prime_random_against_oracle():
     rng = Lcg64(13)
     for _ in range(300):
