@@ -419,9 +419,12 @@ done:
    2y, that slides down the dividend's buffer: at step k it is X[k .. k+w),
    whose lowest bit is the dividend's bit k, and X[k+w], the bit it shifted
    out, is the previous partial's sign.  A step changes the window only by
-   one borrow sweep of the padded row plus (+y) or minus (-y).  Both count
-   one step per dividend bit: a subtract attempt (restoring) or an add or
-   subtract (non-restoring). */
+   one borrow sweep of the padded row plus (+y) or minus (-y).  The first
+   step is k = n - ny: the ny - 1 steps above it hold fewer bits than y and
+   can only yield quotient bit 0, and starting on the dividend's top bits
+   with the buffer's zero sign leaves every later window as they would.
+   Both count one step per dividend bit: a subtract attempt (restoring) or
+   an add or subtract (non-restoring), the skipped steps included. */
 static PyObject *
 bit_divide(PyObject *args, const char *format, int restoring)
 {
@@ -441,7 +444,7 @@ bit_divide(PyObject *args, const char *format, int restoring)
         || !(minus = alloc_digits(w)) || !(Q = alloc_digits(n)))
         goto done;
     window_sub(minus, plus, w, 2);
-    for (k = n - 1; k >= 0; k--) {
+    for (k = n - (w - 2); k >= 0; k--) {
         R = X + k;
         if (!restoring) {
             window_sub(R, R[w] ? minus : plus, w, 2);
@@ -466,8 +469,10 @@ done:
 
 PyDoc_STRVAR(div_restoring_doc,
 "div_restoring(x_bits, y_bits)\n--\n\n"
-"Bit-serial restoring division.\n"
-"Returns (quotient_bits, remainder_bits, subtract_attempts).");
+"Bit-serial restoring division.  The top len(y_bits) - 1 dividend bits,\n"
+"which could not subtract, are preloaded.\n"
+"Returns (quotient_bits, remainder_bits, subtract_attempts), one attempt\n"
+"per dividend bit, the skipped steps included.");
 
 static PyObject *
 div_restoring(PyObject *self, PyObject *args)
@@ -477,8 +482,10 @@ div_restoring(PyObject *self, PyObject *args)
 
 PyDoc_STRVAR(div_nonrestoring_doc,
 "div_nonrestoring(x_bits, y_bits)\n--\n\n"
-"Bit-serial non-restoring division.\n"
-"Returns (quotient_bits, remainder_bits, addsub_steps).");
+"Bit-serial non-restoring division.  The top len(y_bits) - 1 dividend\n"
+"bits, whose partials would be negative with quotient bit 0, are preloaded.\n"
+"Returns (quotient_bits, remainder_bits, addsub_steps), one step per\n"
+"dividend bit, the skipped steps included.");
 
 static PyObject *
 div_nonrestoring(PyObject *self, PyObject *args)

@@ -13,6 +13,9 @@ window and change it only by `_window_sub`, one borrow sweep of a row
 padded to the window's width: M+1 digits and the rows divisor*q for
 straight division, len(y)+2 bits in two's complement and the rows +y and
 -y for the two bit dividers, which share one body (`_bit_divide`).
+Like straight division, which preloads the dividend's top M-1 digits,
+the bit dividers preload its top len(y)-1 bits, whose steps could only
+yield quotient bit 0; their step count stays one per dividend bit.
 Straight division keeps each divisor's scale, normalized digits and rows
 (built on first use) in a `_Divisor` record; the last divisor's record is
 kept, so a run of divisions by one modulus normalizes it and builds each
@@ -210,20 +213,22 @@ def div_straight(xs: list, ys: list, base: int, want_trace: bool = False):
 
 def _bit_divide(x_bits: list, y_bits: list, restoring: bool):
     # The partial remainder is a window of len(y_bits) + 2 big-endian bits
-    # in two's complement, room for every partial from -2y to 2y.  Each
-    # step shifts in one dividend bit, then changes the window only by one
-    # borrow sweep of the padded row plus (+y) or minus (-y).
+    # in two's complement, room for every partial from -2y to 2y, and starts
+    # as the dividend's top k bits, which are below y.  Each step shifts in
+    # one dividend bit, then changes the window only by one borrow sweep of
+    # the padded row plus (+y) or minus (-y).
     if not y_bits:
         raise ZeroDivisionError("division by zero")
     n = len(x_bits)
     w = len(y_bits) + 2
+    k = min(n, len(y_bits) - 1)
     sweep = range(w - 1, -1, -1)
     plus = [0, 0] + y_bits[::-1]
     minus = [0] * w
     _window_sub(minus, plus, 2, sweep)
-    W = [0] * w
+    W = [0] * (w - k) + x_bits[n - k :][::-1]
     Q = [0] * n
-    for i in range(n - 1, -1, -1):
+    for i in range(n - 1 - k, -1, -1):
         sign = W.pop(0)  # the previous partial's sign
         W.append(x_bits[i])
         if not restoring:
@@ -241,9 +246,11 @@ def div_restoring(x_bits: list, y_bits: list):
     """Bit-serial restoring division: shift in one dividend bit, compare
     the partial with the divisor, subtract it only when the partial is not
     below it.  The partial is a fixed window of len(y_bits) + 2 bits that
-    one borrow sweep of the zero-padded divisor changes.
+    one borrow sweep of the zero-padded divisor changes; it starts as the
+    dividend's top len(y_bits) - 1 bits, whose steps could not subtract.
 
-    Returns (quotient_bits, remainder_bits, subtract_attempts)."""
+    Returns (quotient_bits, remainder_bits, subtract_attempts), one attempt
+    per dividend bit."""
     return _bit_divide(x_bits, y_bits, True)
 
 
@@ -254,6 +261,10 @@ def div_nonrestoring(x_bits: list, y_bits: list):
     new sign, and one final add-back follows when the last partial is
     negative.  The partial is a fixed window of len(y_bits) + 2 bits in
     two's complement; adding y is one borrow sweep of the padded row -y.
+    It starts as the top len(y_bits) - 1 dividend bits X with sign 0, so
+    the first step gives 2X + b - y, as the textbook's does after its first
+    len(y_bits) - 1 steps, all negative with quotient bit 0.
 
-    Returns (quotient_bits, remainder_bits, addsub_steps)."""
+    Returns (quotient_bits, remainder_bits, addsub_steps), one step per
+    dividend bit."""
     return _bit_divide(x_bits, y_bits, False)

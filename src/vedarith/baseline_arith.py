@@ -3,7 +3,9 @@ multiplier.
 
 The dividers are the classic bit-serial hardware formulations, so operands
 are converted to base 2 on entry and results converted back on exit; the
-multiplier scans multiplier digits in the operands' own base.  These exist
+multiplier scans multiplier digits in the operands' own base.  The bit
+kernels skip the leading steps that can only yield quotient bit 0, as the
+straight divider does, but count one step per dividend bit.  These exist
 as correctness cross-checks and benchmark opponents for the straight
 divider and the cross-product multiplier.
 """

@@ -245,7 +245,7 @@ def add(a: Natural, b: Natural) -> Natural:
         out.append(t)
     if carry:
         out.append(1)
-    return Natural(tuple(out), a.base)
+    return _from_canonical(tuple(out), a.base)
 
 
 def sub(a: Natural, b: Natural) -> Natural:
@@ -263,7 +263,9 @@ def sub(a: Natural, b: Natural) -> Natural:
         else:
             borrow = 0
         out.append(t)
-    return Natural(tuple(out), a.base)
+    while out and not out[-1]:
+        out.pop()
+    return _from_canonical(tuple(out), a.base)
 
 
 def to_int(x: Natural) -> int:

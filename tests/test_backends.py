@@ -155,8 +155,10 @@ def test_kernels_agree_on_edge_shapes(compiled):
         ([0, 1, 1, 0, 1, 1, 1, 0, 1], [1] * 5, 2),  # all ones
         (y, y, 2),
         (to_digits(2 * 45 - 1, 2), y, 2),  # the widest partial, 2y - 1
-        (to_digits(2 * 45, 2), y, 2),
-        ([1, 1], y, 2),  # shorter than the divisor: the final add-back
+        (to_digits(2 * 45, 2), y, 2),  # last quotient bit 0: the final add-back
+        (to_digits(4 * 45 + 44, 2), y, 2),  # the add-back after one step more
+        (to_digits(45 // 2, 2), y, 2),  # one bit shorter: every step preloaded
+        ([1, 1], y, 2),  # shorter than the divisor: no step, no add-back
         ([], y, 2),
     ]
     for xs, ys, base in cases:
@@ -191,7 +193,8 @@ def test_compiled_kernels_do_not_leak(compiled):
         compiled.div_straight(ys, xs, 10, True)  # dividend shorter: early return
         compiled.div_restoring(bits, ybits)
         compiled.div_nonrestoring(bits, ybits)
-        compiled.div_nonrestoring(ybits, bits)  # last partial negative
+        compiled.div_nonrestoring(ybits, bits)  # dividend shorter: no step
+        compiled.div_nonrestoring([0, 1, 0, 1], ybits)  # 2y: the final add-back
         for kernel, args, error in (
             (compiled.div_straight, (xs, [], 10), ZeroDivisionError),
             (compiled.div_restoring, (bits, []), ZeroDivisionError),

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ALL_BASES, nat, repeated_subtraction_divmod, scaled, val
-from vedarith import backend, baseline_arith, numeral, vedic_div, vedic_mul
+from vedarith import _pykernels, backend, baseline_arith, numeral, vedic_div, vedic_mul
 from vedarith.numeral import Base, BaseMismatchError
 from vedarith.randgen import Lcg64
 
@@ -66,6 +66,46 @@ def test_subtract_attempt_count_is_dividend_bit_length():
         assert kernels.div_restoring(xs, ys)[2] == a.bit_length()
         assert kernels.div_nonrestoring(xs, ys)[2] == a.bit_length()
     assert kernels.div_restoring([], [1, 0, 0, 1])[2] == 0
+
+
+def test_bit_dividers_skip_the_steps_that_can_only_yield_zero(monkeypatch):
+    # An n-bit dividend and an m-bit divisor take n - m + 1 steps (none
+    # when n < m); the m - 1 steps above them would hold fewer bits than
+    # the divisor.  Every window change is one `_window_sub` sweep.
+    sweeps = 0
+    window_sub = _pykernels._window_sub
+
+    def counting(*args):
+        nonlocal sweeps
+        sweeps += 1
+        window_sub(*args)
+
+    monkeypatch.setattr(_pykernels, "_window_sub", counting)
+
+    def bits(v):
+        return [(v >> i) & 1 for i in range(v.bit_length())]
+
+    def value(bs):
+        return sum(b << i for i, b in enumerate(bs))
+
+    for y in range(1, 1 << 6):
+        ys, m = bits(y), y.bit_length()
+        for x in range(1 << 10):
+            xs, n = bits(x), x.bit_length()
+            steps = max(0, n - m + 1)
+            q, r = divmod(x, y)
+            sweeps = 0
+            got = _pykernels.div_restoring(xs, ys)
+            assert (value(got[0]), value(got[1]), got[2]) == (q, r, n)
+            # building -y, then one subtraction per quotient bit 1, all of
+            # them in the steps that run
+            assert sweeps == 1 + bin(q).count("1") and q < 1 << steps
+            sweeps = 0
+            got = _pykernels.div_nonrestoring(xs, ys)
+            assert (value(got[0]), value(got[1]), got[2]) == (q, r, n)
+            # building -y, one add or subtract per step, and the add-back
+            # when the last partial is negative (its quotient bit is 0)
+            assert sweeps == 1 + steps + (steps > 0 and q % 2 == 0), (x, y)
 
 
 def test_results_come_back_in_the_callers_base():

@@ -234,6 +234,25 @@ def test_info_when_the_environment_pins_the_backend():
     assert lines[3].startswith("compiled import: ")
 
 
+def test_cli_import_loads_no_class_factory():
+    # `bench` and `selftest` keep their dataclasses; only their commands
+    # import them
+    code = "import sys, vedarith.cli\nprint('dataclasses' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=package_env(), capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+def test_bench_help_lists_every_operation(capsys):
+    from vedarith import bench
+
+    assert cli.main(["bench", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "subset of: " + ",".join(bench.OPERATIONS) in help_text
+
+
 def test_cli_output_parses_back(capsys):
     # numeric output always round-trips through the numeral layer
     code, out, _ = run(capsys, "mul", "123456789", "987654321")

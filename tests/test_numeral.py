@@ -164,7 +164,8 @@ def test_add_examples():
 def test_sub_examples():
     x = numeral.parse("70", Base.DEC)
     assert numeral.format(numeral.sub(x, numeral.parse("28", Base.DEC))) == "42"
-    assert numeral.sub(x, x).is_zero()
+    assert numeral.sub(x, x).digits == ()
+    assert numeral.sub(x, x) == numeral.zero(Base.DEC)
     got = numeral.sub(numeral.parse("100", Base.HEX), numeral.parse("1", Base.HEX))
     assert numeral.format(got) == "ff"
 
@@ -223,6 +224,17 @@ def test_sub_inverts_add(a, b, base):
     lo, hi = sorted((a, b))
     nhi, nlo = numeral.from_int(hi, base), numeral.from_int(lo, base)
     assert numeral.add(numeral.sub(nhi, nlo), nlo) == nhi
+
+
+@given(values, values, bases)
+def test_add_and_sub_results_are_canonical(a, b, base):
+    # both wrap their digits without the constructor's checks
+    lo, hi = sorted((a, b))
+    nhi, nlo = numeral.from_int(hi, base), numeral.from_int(lo, base)
+    for got in (numeral.add(nhi, nlo), numeral.sub(nhi, nlo), numeral.sub(nhi, nhi)):
+        built = Natural(got.digits, base)
+        assert got == built and hash(got) == hash(built)
+        assert got.digits == built.digits and got.base is base
 
 
 @given(values, values, bases)
