@@ -7,8 +7,8 @@
    accumulator and carry stays well inside u64 range.  The buffer sizes
    below rely on that and on every digit being below the base, so unlike
    the pure twin, which trusts the `Natural` boundary, this one raises
-   ValueError on a base outside 2..MAX_BASE, or on a digit (bit) not below
-   its base, before any digit is used.
+   ValueError on a base outside 2..MAX_BASE, or on a digit not below its
+   base, before any digit is used.
 
    As in the pure twin, every divider keeps its partial remainder in a
    fixed-width window and changes it only by window_sub, one borrow sweep
@@ -414,37 +414,126 @@ done:
     return result;
 }
 
-/* The bit-serial dividers share one body.  The partial is a window of
-   w = ny + 2 bits in two's complement, room for every partial from -2y to
-   2y, that slides down the dividend's buffer: at step k it is X[k .. k+w),
-   whose lowest bit is the dividend's bit k, and X[k+w], the bit it shifted
-   out, is the previous partial's sign.  A step changes the window only by
-   one borrow sweep of the padded row plus (+y) or minus (-y).  The first
-   step is k = n - ny: the ny - 1 steps above it hold fewer bits than y and
-   can only yield quotient bit 0, and starting on the dividend's top bits
-   with the buffer's zero sign leaves every later window as they would.
-   Both count one step per dividend bit: a subtract attempt (restoring) or
-   an add or subtract (non-restoring), the skipped steps included. */
+/* --- base 2 ------------------------------------------------------------- */
+
+/* The bits a digit below base needs: the w with 2**(w-1) < base <= 2**w. */
+static int
+digit_width(u64 base)
+{
+    int w = 1;
+    while (((u64)1 << w) < base)
+        w++;
+    return w;
+}
+
+/* The little-endian bits of the n digits in a, each below base, in a fresh
+   buffer with `spare` zeroed slots after them, or NULL with MemoryError
+   set; *nbits gets their trimmed count.  A power-of-two base expands by
+   shift and mask; any other by digit-serial halving of a in place, top
+   digit first, each remainder the next bit, until a is zero. */
+static u64 *
+to_bits(u64 *a, Py_ssize_t n, u64 base, Py_ssize_t spare, Py_ssize_t *nbits)
+{
+    int j, w = digit_width(base);
+    Py_ssize_t i, k = 0;
+    u64 r, t, *bits = alloc_digits(n * w + spare);
+
+    if (bits == NULL)
+        return NULL;
+    if ((base & (base - 1)) == 0) {
+        for (i = 0; i < n; i++)
+            for (j = 0; j < w; j++)
+                bits[k++] = a[i] >> j & 1;
+    }
+    else {
+        while ((n = trim(a, n)) > 0) {
+            for (r = 0, i = n - 1; i >= 0; i--) {
+                t = r * base + a[i];
+                a[i] = t >> 1;
+                r = t & 1;
+            }
+            bits[k++] = r;
+        }
+    }
+    *nbits = trim(bits, k);
+    return bits;
+}
+
+/* The canonical digits in base of the n little-endian bits in b, as a
+   list, or NULL with an error set.  A power-of-two base packs them by
+   shift; any other by digit-serial doubling, top bit first. */
+static PyObject *
+from_bits(const u64 *b, Py_ssize_t n, u64 base)
+{
+    int j, w = digit_width(base);
+    Py_ssize_t i, k, m = 0;
+    u64 carry, t, *d = alloc_digits(n);
+    PyObject *out;
+
+    if (d == NULL)
+        return NULL;
+    if ((base & (base - 1)) == 0) {
+        for (i = 0; i < n; i += w, m++)
+            for (j = 0; j < w && i + j < n; j++)
+                d[m] |= b[i + j] << j;
+    }
+    else {
+        for (i = n - 1; i >= 0; i--) {
+            carry = b[i];
+            for (k = 0; k < m; k++) {
+                t = 2 * d[k] + carry;
+                carry = t >= base;
+                d[k] = t - (base & -carry);
+            }
+            if (carry)
+                d[m++] = carry;
+        }
+    }
+    out = to_list(d, trim(d, m));
+    PyMem_Free(d);
+    return out;
+}
+
+/* The bit-serial dividers share one body.  Both operands are expanded to
+   bits on entry and the results packed back into base on exit.  The
+   partial is a window of w = ny + 2 bits in two's complement, room for
+   every partial from -2y to 2y, that slides down the dividend's bit
+   buffer: at step k it is X[k .. k+w), whose lowest bit is the dividend's
+   bit k, and X[k+w], the bit it shifted out, is the previous partial's
+   sign.  A step changes the window only by one borrow sweep of the padded
+   row plus (+y) or, in non-restoring only, minus (-y): restoring never
+   sets the sign bit.  The first step is k = n - ny: the ny - 1 steps above
+   it hold fewer bits than y and can only yield quotient bit 0, and
+   starting on the dividend's top bits with the buffer's zero sign leaves
+   every later window as they would.  Both count one step per dividend
+   bit: a subtract attempt (restoring) or an add or subtract
+   (non-restoring), the skipped steps included. */
 static PyObject *
 bit_divide(PyObject *args, const char *format, int restoring)
 {
     PyObject *xs, *ys, *result = NULL;
-    u64 *X = NULL, *plus = NULL, *minus = NULL, *Q = NULL, *R;
-    Py_ssize_t n, w, k;
+    u64 base, *xd = NULL, *yd = NULL, *X = NULL, *plus = NULL, *minus = NULL;
+    u64 *Q = NULL, *R;
+    Py_ssize_t n, ny, w, k;
 
-    if (!PyArg_ParseTuple(args, format, &PyList_Type, &xs, &PyList_Type, &ys))
+    if (!PyArg_ParseTuple(args, format, &PyList_Type, &xs, &PyList_Type, &ys,
+                          as_base, &base))
         return NULL;
-    n = PyList_GET_SIZE(xs);
-    w = PyList_GET_SIZE(ys) + 2;
-    if (w == 2) { /* an empty divisor */
-        PyErr_SetString(PyExc_ZeroDivisionError, "division by zero");
-        return NULL;
-    }
-    if (!(X = from_list(xs, w, 2)) || !(plus = from_list(ys, 2, 2))
-        || !(minus = alloc_digits(w)) || !(Q = alloc_digits(n)))
+    if (!(xd = from_list(xs, 0, base)) || !(yd = from_list(ys, 0, base))
+        || !(plus = to_bits(yd, PyList_GET_SIZE(ys), base, 2, &ny)))
         goto done;
-    window_sub(minus, plus, w, 2);
-    for (k = n - (w - 2); k >= 0; k--) {
+    if (ny == 0) {
+        PyErr_SetString(PyExc_ZeroDivisionError, "division by zero");
+        goto done;
+    }
+    w = ny + 2;
+    if (!(X = to_bits(xd, PyList_GET_SIZE(xs), base, w, &n))
+        || (!restoring && !(minus = alloc_digits(w)))
+        || !(Q = alloc_digits(n)))
+        goto done;
+    if (!restoring)
+        window_sub(minus, plus, w, 2);
+    for (k = n - ny; k >= 0; k--) {
         R = X + k;
         if (!restoring) {
             window_sub(R, R[w] ? minus : plus, w, 2);
@@ -455,11 +544,13 @@ bit_divide(PyObject *args, const char *format, int restoring)
             Q[k] = 1;
         }
     }
-    if (X[w - 1])
+    if (!restoring && X[w - 1])
         window_sub(X, minus, w, 2); /* the final add-back */
-    result = Py_BuildValue("(NNn)", to_list(Q, trim(Q, n)),
-                           to_list(X, trim(X, w)), n);
+    result = Py_BuildValue("(NNn)", from_bits(Q, n, base),
+                           from_bits(X, w, base), n);
 done:
+    PyMem_Free(xd);
+    PyMem_Free(yd);
     PyMem_Free(X);
     PyMem_Free(plus);
     PyMem_Free(minus);
@@ -468,29 +559,31 @@ done:
 }
 
 PyDoc_STRVAR(div_restoring_doc,
-"div_restoring(x_bits, y_bits)\n--\n\n"
-"Bit-serial restoring division.  The top len(y_bits) - 1 dividend bits,\n"
-"which could not subtract, are preloaded.\n"
-"Returns (quotient_bits, remainder_bits, subtract_attempts), one attempt\n"
-"per dividend bit, the skipped steps included.");
+"div_restoring(xs, ys, base)\n--\n\n"
+"Bit-serial restoring division on the operands' bits, with the results\n"
+"packed back into base.  The top len(y_bits) - 1 dividend bits, which\n"
+"could not subtract, are preloaded.\n"
+"Returns (quotient, remainder, subtract_attempts), one attempt per\n"
+"dividend bit, the skipped steps included.");
 
 static PyObject *
 div_restoring(PyObject *self, PyObject *args)
 {
-    return bit_divide(args, "O!O!:div_restoring", 1);
+    return bit_divide(args, "O!O!O&:div_restoring", 1);
 }
 
 PyDoc_STRVAR(div_nonrestoring_doc,
-"div_nonrestoring(x_bits, y_bits)\n--\n\n"
-"Bit-serial non-restoring division.  The top len(y_bits) - 1 dividend\n"
-"bits, whose partials would be negative with quotient bit 0, are preloaded.\n"
-"Returns (quotient_bits, remainder_bits, addsub_steps), one step per\n"
-"dividend bit, the skipped steps included.");
+"div_nonrestoring(xs, ys, base)\n--\n\n"
+"Bit-serial non-restoring division on the operands' bits, with the\n"
+"results packed back into base.  The top len(y_bits) - 1 dividend bits,\n"
+"whose partials would be negative with quotient bit 0, are preloaded.\n"
+"Returns (quotient, remainder, addsub_steps), one step per dividend bit,\n"
+"the skipped steps included.");
 
 static PyObject *
 div_nonrestoring(PyObject *self, PyObject *args)
 {
-    return bit_divide(args, "O!O!:div_nonrestoring", 0);
+    return bit_divide(args, "O!O!O&:div_nonrestoring", 0);
 }
 
 /* --- module -------------------------------------------------------------- */

@@ -8,14 +8,17 @@ falls back to machine-word multiplication or division of whole operands.
 
 A square (`mul_vedic(xs, xs)`) takes the duplex column sums.
 
-All three dividers keep the partial remainder in a fixed-width big-endian
-window and change it only by `_window_sub`, one borrow sweep of a row
-padded to the window's width: M+1 digits and the rows divisor*q for
-straight division, len(y)+2 bits in two's complement and the rows +y and
--y for the two bit dividers, which share one body (`_bit_divide`).
-Like straight division, which preloads the dividend's top M-1 digits,
-the bit dividers preload its top len(y)-1 bits, whose steps could only
-yield quotient bit 0; their step count stays one per dividend bit.
+Every kernel takes `(xs, ys, base)`; the bit dividers convert to bits and
+back inside (`_bits_of`/`_digits_of`, the package's one base-2
+conversion).  All three dividers keep the partial remainder in a
+fixed-width big-endian window and change it only by `_window_sub`, one
+borrow sweep of a row padded to the window's width: M+1 digits and the
+rows divisor*q for straight division, len(y)+2 bits in two's complement
+and the rows +y and (non-restoring only) -y for the two bit dividers,
+which share one body (`_bit_divide`).  Like straight division, which
+preloads the dividend's top M-1 digits, the bit dividers preload its top
+len(y)-1 bits, whose steps could only yield quotient bit 0; their step
+count stays one per dividend bit.
 Straight division keeps each divisor's scale, normalized digits and rows
 (built on first use) in a `_Divisor` record; the last divisor's record is
 kept, so a run of divisions by one modulus normalizes it and builds each
@@ -211,23 +214,78 @@ def div_straight(xs: list, ys: list, base: int, want_trace: bool = False):
     return _trim(quotient[::-1]), _trim(W[::-1]), max_adjust, trace
 
 
-def _bit_divide(x_bits: list, y_bits: list, restoring: bool):
-    # The partial remainder is a window of len(y_bits) + 2 big-endian bits
-    # in two's complement, room for every partial from -2y to 2y, and starts
-    # as the dividend's top k bits, which are below y.  Each step shifts in
-    # one dividend bit, then changes the window only by one borrow sweep of
-    # the padded row plus (+y) or minus (-y).
+@lru_cache(maxsize=None)
+def _bit_tables(base: int):
+    # For base 2**w with w <= 8: w, the w little-endian bits of every digit
+    # and the digit of each bit tuple; None for any other base.
+    w = base.bit_length() - 1
+    if base != 1 << w or w > 8:
+        return None
+    bits = [tuple(d >> i & 1 for i in range(w)) for d in range(base)]
+    return w, bits, dict(zip(bits, range(base)))
+
+
+def _bits_of(digits, base: int) -> list:
+    """The trimmed little-endian bits of little-endian digits in any base
+    2..65536: by table for a power of two up to 256, else by digit-serial
+    short division by 2**16, sixteen halvings per pass."""
+    tables = _bit_tables(base)
+    if tables is None:
+        xs, bits = list(reversed(digits)), []  # big-endian
+        while xs:
+            r = 0
+            for i, d in enumerate(xs):
+                xs[i], r = divmod(r * base + d, 1 << 16)
+            bits += [r >> j & 1 for j in range(16)]
+            while xs and not xs[0]:
+                del xs[0]
+        return _trim(bits)
+    table = tables[1]
+    return _trim([b for d in digits for b in table[d]])
+
+
+def _digits_of(bits: list, base: int) -> list:
+    """The canonical little-endian digits in any base 2..65536 of
+    little-endian bits: by table for a power of two up to 256, else by
+    digit-serial multiplication by 2**16, sixteen doublings per pass, top
+    bits first."""
+    tables = _bit_tables(base)
+    if tables is None:
+        digits = []
+        for s in range((len(bits) - 1) // 16 * 16, -1, -16):
+            carry = sum(b << j for j, b in enumerate(bits[s : s + 16]))
+            for i, d in enumerate(digits):
+                carry, digits[i] = divmod((d << 16) + carry, base)
+            while carry:
+                carry, d = divmod(carry, base)
+                digits.append(d)
+        return digits
+    w, _, digit = tables
+    groups = zip(*[iter(bits + [0] * (-len(bits) % w))] * w)
+    return _trim(list(map(digit.__getitem__, groups)))
+
+
+def _bit_divide(xs: list, ys: list, base: int, restoring: bool):
+    # On the operands' bits, the partial remainder is a window of
+    # len(y_bits) + 2 big-endian bits in two's complement, room for every
+    # partial from -2y to 2y, and starts as the dividend's top k bits, which
+    # are below y.  Each step shifts in one dividend bit, then changes the
+    # window only by one borrow sweep of the padded row plus (+y) or, in
+    # non-restoring only, minus (-y): restoring never sets the sign bit.
+    y_bits = _bits_of(ys, base)
     if not y_bits:
         raise ZeroDivisionError("division by zero")
+    x_bits = _bits_of(xs, base)
     n = len(x_bits)
     w = len(y_bits) + 2
     k = min(n, len(y_bits) - 1)
     sweep = range(w - 1, -1, -1)
     plus = [0, 0] + y_bits[::-1]
-    minus = [0] * w
-    _window_sub(minus, plus, 2, sweep)
+    if not restoring:
+        minus = [0] * w
+        _window_sub(minus, plus, 2, sweep)
     W = [0] * (w - k) + x_bits[n - k :][::-1]
-    Q = [0] * n
+    Q = [0] * (n - k)  # the preloaded top k quotient bits are 0
     for i in range(n - 1 - k, -1, -1):
         sign = W.pop(0)  # the previous partial's sign
         W.append(x_bits[i])
@@ -237,24 +295,24 @@ def _bit_divide(x_bits: list, y_bits: list, restoring: bool):
         elif W >= plus:
             _window_sub(W, plus, 2, sweep)
             Q[i] = 1
-    if W[0]:
+    if not restoring and W[0]:
         _window_sub(W, minus, 2, sweep)  # the final add-back
-    return _trim(Q), _trim(W[::-1]), n
+    return _digits_of(Q, base), _digits_of(W[::-1], base), n
 
 
-def div_restoring(x_bits: list, y_bits: list):
+def div_restoring(xs: list, ys: list, base: int):
     """Bit-serial restoring division: shift in one dividend bit, compare
     the partial with the divisor, subtract it only when the partial is not
     below it.  The partial is a fixed window of len(y_bits) + 2 bits that
     one borrow sweep of the zero-padded divisor changes; it starts as the
     dividend's top len(y_bits) - 1 bits, whose steps could not subtract.
 
-    Returns (quotient_bits, remainder_bits, subtract_attempts), one attempt
+    Returns (quotient, remainder, subtract_attempts) in base, one attempt
     per dividend bit."""
-    return _bit_divide(x_bits, y_bits, True)
+    return _bit_divide(xs, ys, base, True)
 
 
-def div_nonrestoring(x_bits: list, y_bits: list):
+def div_nonrestoring(xs: list, ys: list, base: int):
     """Bit-serial non-restoring division: shift in one dividend bit, then
     subtract the divisor when the previous partial is non-negative, else
     add it, with no intermediate restore; the quotient bit is the inverted
@@ -265,6 +323,6 @@ def div_nonrestoring(x_bits: list, y_bits: list):
     the first step gives 2X + b - y, as the textbook's does after its first
     len(y_bits) - 1 steps, all negative with quotient bit 0.
 
-    Returns (quotient_bits, remainder_bits, addsub_steps), one step per
+    Returns (quotient, remainder, addsub_steps) in base, one step per
     dividend bit."""
-    return _bit_divide(x_bits, y_bits, False)
+    return _bit_divide(xs, ys, base, False)

@@ -18,13 +18,13 @@ from .numeral import Natural, Record
 
 class Algorithm:
     """One registered algorithm: its public function on Naturals (`run`),
-    and the kernel that does its work on digit lists (on bit lists when
-    `on_bits`)."""
+    and the name of the kernel that does its work on digit lists; every
+    kernel takes `(xs, ys, base)`."""
 
-    __slots__ = ("run", "kernel", "on_bits")
+    __slots__ = ("run", "kernel")
 
-    def __init__(self, run, kernel: str, on_bits: bool = False):
-        self.run, self.kernel, self.on_bits = run, kernel, on_bits
+    def __init__(self, run, kernel: str):
+        self.run, self.kernel = run, kernel
 
 
 # The algorithm registry: every name a Strategy, the bench or the CLI
@@ -35,10 +35,8 @@ MULTIPLIERS = {
 }
 DIVIDERS = {
     "vedic": Algorithm(vedic_div.divide, "div_straight"),
-    "restoring": Algorithm(baseline_arith.restoring_divide, "div_restoring", True),
-    "nonrestoring": Algorithm(
-        baseline_arith.nonrestoring_divide, "div_nonrestoring", True
-    ),
+    "restoring": Algorithm(baseline_arith.restoring_divide, "div_restoring"),
+    "nonrestoring": Algorithm(baseline_arith.nonrestoring_divide, "div_nonrestoring"),
 }
 
 
@@ -73,11 +71,7 @@ def _reduce(xs: list, ns: list, base: int, divider: Algorithm) -> list:
         return xs
     if not ns:
         raise ZeroDivisionError("modulus is zero")
-    kernel = getattr(backend.kernels(), divider.kernel)
-    if not divider.on_bits:
-        return kernel(xs, ns, base)[1]
-    bits = kernel(numeral.bits_of(xs, base), numeral.bits_of(ns, base))[1]
-    return numeral.digits_of(bits, base)
+    return getattr(backend.kernels(), divider.kernel)(xs, ns, base)[1]
 
 
 def mod_reduce(a: Natural, n: Natural, strategy: Strategy = DEFAULT_STRATEGY) -> Natural:

@@ -11,7 +11,8 @@ works digit by digit, which is the whole point of the library.
 from __future__ import annotations
 
 import enum
-from itertools import product
+
+from . import _pykernels
 
 
 class ParseError(ValueError):
@@ -44,10 +45,7 @@ class Base(enum.IntEnum):
         """Bits per digit (1/2/4/8); undefined for base 10."""
         if self is Base.DEC:
             raise ValueError("base 10 digits have no fixed bit width")
-        return _DIGIT_BITS[int(self)]
-
-
-_DIGIT_BITS = {2: 1, 4: 2, 16: 4, 256: 8}
+        return int(self).bit_length() - 1
 
 # Base 16 is the default: one digit per 4-bit group.
 DEFAULT_BASE = Base.HEX
@@ -303,7 +301,7 @@ def bit_length(x: Natural) -> int:
 
 def to_bits(x: Natural) -> list[int]:
     """Little-endian bit list of the value (canonical: no leading zeros)."""
-    return bits_of(x.digits, int(x.base))
+    return _pykernels._bits_of(x.digits, int(x.base))
 
 
 def from_bits(bits: list[int], base: Base = DEFAULT_BASE) -> Natural:
@@ -311,42 +309,4 @@ def from_bits(bits: list[int], base: Base = DEFAULT_BASE) -> Natural:
     if not set(bits) <= {0, 1}:
         raise ValueError("bits must be 0 or 1")
     base = Base(base)
-    return _from_canonical(tuple(digits_of(bits, int(base))), base)
-
-
-# Power-of-two bases go through one table each way: the little-endian bits
-# of every digit value, and the digit of every bit group of each width.
-_BITS_OF_DIGIT = {
-    1 << w: [bits[::-1] for bits in product((0, 1), repeat=w)]
-    for w in _DIGIT_BITS.values()
-}
-_DIGIT_OF_BITS = {
-    bits: d for table in _BITS_OF_DIGIT.values() for d, bits in enumerate(table)
-}
-
-
-def bits_of(digits, base: int) -> list[int]:
-    """Little-endian bits of canonical little-endian digits, trimmed."""
-    if base == 10:
-        v = to_int(_from_canonical(tuple(digits), Base.DEC))
-        return [(v >> i) & 1 for i in range(v.bit_length())]
-    table = _BITS_OF_DIGIT[base]
-    bits = [b for d in digits for b in table[d]]
-    while bits and not bits[-1]:
-        bits.pop()
-    return bits
-
-
-def digits_of(bits: list[int], base: int) -> list[int]:
-    """Canonical little-endian digits of a little-endian 0/1 list."""
-    if base == 10:
-        v = 0
-        for b in reversed(bits):
-            v = v * 2 + b
-        return list(from_int(v, Base.DEC).digits)
-    width = _DIGIT_BITS[base]
-    groups = zip(*[iter(bits + [0] * (-len(bits) % width))] * width)
-    digits = list(map(_DIGIT_OF_BITS.__getitem__, groups))
-    while digits and not digits[-1]:
-        digits.pop()
-    return digits
+    return _from_canonical(tuple(_pykernels._digits_of(bits, int(base))), base)

@@ -58,27 +58,26 @@ class DivisionStep(NamedTuple):
 
 def divide(dividend: Natural, divisor: Natural) -> DivResult:
     """Straight division; Euclidean identity and remainder bound hold."""
-    result, _ = _divide_full(dividend, divisor, want_trace=False)
-    return result
+    return _divide(dividend, divisor, "div_straight")[0]
 
 
 def divide_traced(
     dividend: Natural, divisor: Natural
 ) -> tuple[DivResult, tuple[DivisionStep, ...]]:
     """Like divide, also returning one DivisionStep per quotient column."""
-    return _divide_full(dividend, divisor, want_trace=True)
+    result, (_, raw) = _divide(dividend, divisor, "div_straight", True)
+    return result, tuple(map(DivisionStep._make, raw))
 
 
-def _divide_full(dividend: Natural, divisor: Natural, want_trace: bool):
+def _divide(dividend: Natural, divisor: Natural, kernel: str, *flags):
+    """Every divider's one path on Naturals: the operands' common base, the
+    zero check, then the active backend's named kernel on their digit
+    lists.  Returns the DivResult and the kernel's remaining fields."""
     base = numeral.same_base(dividend, divisor)
     if divisor.is_zero():
         raise ZeroDivisionError("division by zero")
-    q, r, _, raw = backend.kernels().div_straight(
-        list(dividend.digits), list(divisor.digits), int(base), want_trace
+    q, r, *fields = getattr(backend.kernels(), kernel)(
+        list(dividend.digits), list(divisor.digits), int(base), *flags
     )
-    result = DivResult(
-        numeral._from_canonical(tuple(q), base),
-        numeral._from_canonical(tuple(r), base),
-    )
-    trace = tuple(map(DivisionStep._make, raw)) if raw is not None else None
-    return result, trace
+    quotient = numeral._from_canonical(tuple(q), base)
+    return DivResult(quotient, numeral._from_canonical(tuple(r), base)), fields

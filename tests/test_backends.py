@@ -1,6 +1,7 @@
 """Differential tests: the compiled kernels must match the pure ones
 bit for bit, and the dispatcher must honor explicit selection."""
 
+import inspect
 import subprocess
 import sys
 import tracemalloc
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import build_ckernels, c_compiler, package_env
-from vedarith import _pykernels, backend
+from vedarith import _pykernels, backend, modexp
 from vedarith.randgen import Lcg64
 
 
@@ -120,15 +121,30 @@ def test_duplex_square_matches_general_product(compiled):
                 assert kernels.mul_vedic(xs, list(xs), base) == want
 
 
+def test_twins_share_every_kernel_signature(compiled):
+    # the C side's signatures come from the "--" text signatures at the top
+    # of its docstrings, so a drifted docstring fails here too
+    def shape(kernel):
+        params = inspect.signature(kernel).parameters.values()
+        return [(p.name, p.default) for p in params]
+
+    algorithms = (*modexp.MULTIPLIERS.values(), *modexp.DIVIDERS.values())
+    for name in sorted({a.kernel for a in algorithms}):
+        assert shape(getattr(_pykernels, name)) == shape(getattr(compiled, name)), name
+
+
 def test_bit_kernels_agree(compiled):
+    # powers of two expand by shift and mask in C, any other base by
+    # halving; 96 bits of dividend and 64 of divisor at most in every base
     rng = Lcg64(0xF00D)
-    for _ in range(4000):
-        xs = rand_digits(rng, 96, 2)
-        ys = rand_digits(rng, 64, 2)
-        if not ys:
-            ys = [1]
-        assert compiled.div_restoring(xs, ys) == _pykernels.div_restoring(xs, ys)
-        assert compiled.div_nonrestoring(xs, ys) == _pykernels.div_nonrestoring(xs, ys)
+    for base in (2, 3, 10, 16, 256, 65535, 65536):
+        width = (base - 1).bit_length()
+        for _ in range(600):
+            xs = rand_digits(rng, 96 // width, base)
+            ys = rand_digits(rng, 64 // width, base) or [1]
+            for name in ("div_restoring", "div_nonrestoring"):
+                got = getattr(compiled, name)(xs, ys, base)
+                assert got == getattr(_pykernels, name)(xs, ys, base), (name, base)
 
 
 def test_kernels_agree_on_edge_shapes(compiled):
@@ -173,11 +189,10 @@ def test_kernels_agree_on_edge_shapes(compiled):
         got = compiled.div_straight(xs, ys, base, True)
         assert got == _pykernels.div_straight(xs, ys, base, True), base
         assert (to_int(got[0], base), to_int(got[1], base)) == want, base
-        if base == 2:
-            for name in ("div_restoring", "div_nonrestoring"):
-                got = getattr(compiled, name)(xs, ys)
-                assert got == getattr(_pykernels, name)(xs, ys), name
-                assert (to_int(got[0], 2), to_int(got[1], 2)) == want, (name, xs, ys)
+        for name in ("div_restoring", "div_nonrestoring"):
+            got = getattr(compiled, name)(xs, ys, base)
+            assert got == getattr(_pykernels, name)(xs, ys, base), (name, base)
+            assert (to_int(got[0], base), to_int(got[1], base)) == want, (name, xs, ys)
 
 
 def test_compiled_kernels_do_not_leak(compiled):
@@ -191,18 +206,23 @@ def test_compiled_kernels_do_not_leak(compiled):
         compiled.div_straight(xs, ys, 10)
         compiled.div_straight(xs, ys, 10, True)
         compiled.div_straight(ys, xs, 10, True)  # dividend shorter: early return
-        compiled.div_restoring(bits, ybits)
-        compiled.div_nonrestoring(bits, ybits)
-        compiled.div_nonrestoring(ybits, bits)  # dividend shorter: no step
-        compiled.div_nonrestoring([0, 1, 0, 1], ybits)  # 2y: the final add-back
+        compiled.div_restoring(bits, ybits, 2)
+        compiled.div_nonrestoring(bits, ybits, 2)
+        compiled.div_nonrestoring(ybits, bits, 2)  # dividend shorter: no step
+        compiled.div_nonrestoring([0, 1, 0, 1], ybits, 2)  # 2y: the final add-back
+        compiled.div_restoring(xs, ys, 10)  # halving and doubling
+        compiled.div_nonrestoring(xs, ys, 10)
+        compiled.div_restoring([7, 1, 9, 2], [3, 2], 256)  # shift and mask
+        compiled.div_nonrestoring([7, 1, 9, 2], [3, 2], 256)
         for kernel, args, error in (
             (compiled.div_straight, (xs, [], 10), ZeroDivisionError),
-            (compiled.div_restoring, (bits, []), ZeroDivisionError),
-            (compiled.div_restoring, (bits, [1, 2]), ValueError),
+            (compiled.div_restoring, (bits, [], 2), ZeroDivisionError),
+            (compiled.div_restoring, (bits, [1, 2], 2), ValueError),
+            (compiled.div_nonrestoring, (xs, ys, 1), ValueError),
             (compiled.mul_vedic, (xs, [3, -2], 10), OverflowError),
             (compiled.mul_shift_add, (xs, [3, -2], 10), OverflowError),
             (compiled.div_straight, ([7, -1], ys, 10, True), OverflowError),
-            (compiled.div_nonrestoring, (bits, [1, -1]), OverflowError),
+            (compiled.div_nonrestoring, (bits, [1, -1], 2), OverflowError),
             (compiled.div_straight, (xs, [9999, 1], 10, True), ValueError),
         ):
             # plain try: pytest.raises keeps state that tracemalloc counts
@@ -252,7 +272,7 @@ def test_compiled_kernels_pass_the_sanitizers(tmp_path):
 
 def test_compiled_kernels_reject_out_of_range_input(compiled):
     # input the buffer sizes do not allow for: a digit not below the base,
-    # a base below 2 or above 2**16, a bit above 1
+    # a base below 2 or above 2**16
     for kernel, args in (
         (compiled.div_straight, ([1], [9999, 1], 10)),
         (compiled.div_straight, ([5], [3], 0)),
@@ -261,8 +281,9 @@ def test_compiled_kernels_reject_out_of_range_input(compiled):
         (compiled.mul_shift_add, ([1], [1], 0)),
         (compiled.mul_vedic, ([1], [1], 1 << 17)),
         (compiled.mul_vedic, ([10], [1], 10)),
-        (compiled.div_restoring, ([2], [1])),
-        (compiled.div_nonrestoring, ([1], [1, 3])),
+        (compiled.div_restoring, ([2], [1], 2)),
+        (compiled.div_nonrestoring, ([1], [1, 10], 10)),
+        (compiled.div_restoring, ([1], [1], 1 << 17)),
     ):
         with pytest.raises(ValueError):
             kernel(*args)
@@ -273,9 +294,9 @@ def test_division_by_zero_raised_by_kernels():
         with pytest.raises(ZeroDivisionError):
             mod.div_straight([1], [], 16, False)
         with pytest.raises(ZeroDivisionError):
-            mod.div_restoring([1], [])
+            mod.div_restoring([1], [], 16)
         with pytest.raises(ZeroDivisionError):
-            mod.div_nonrestoring([1], [])
+            mod.div_nonrestoring([1], [], 10)
 
 
 def test_divisor_record_keeps_bases_apart():

@@ -62,10 +62,11 @@ def test_subtract_attempt_count_is_dividend_bit_length():
     for _ in range(300):
         a = rng.bits(rng.below(120) + 1)
         b = rng.bits(rng.below(60) + 1) or 1
-        xs, ys = numeral.to_bits(nat(a)), numeral.to_bits(nat(b))
-        assert kernels.div_restoring(xs, ys)[2] == a.bit_length()
-        assert kernels.div_nonrestoring(xs, ys)[2] == a.bit_length()
-    assert kernels.div_restoring([], [1, 0, 0, 1])[2] == 0
+        base = (2, 10, 16, 256)[rng.below(4)]
+        xs, ys = list(nat(a, base).digits), list(nat(b, base).digits)
+        assert kernels.div_restoring(xs, ys, base)[2] == a.bit_length()
+        assert kernels.div_nonrestoring(xs, ys, base)[2] == a.bit_length()
+    assert kernels.div_restoring([], [1, 0, 0, 1], 2)[2] == 0
 
 
 def test_bit_dividers_skip_the_steps_that_can_only_yield_zero(monkeypatch):
@@ -95,13 +96,13 @@ def test_bit_dividers_skip_the_steps_that_can_only_yield_zero(monkeypatch):
             steps = max(0, n - m + 1)
             q, r = divmod(x, y)
             sweeps = 0
-            got = _pykernels.div_restoring(xs, ys)
+            got = _pykernels.div_restoring(xs, ys, 2)
             assert (value(got[0]), value(got[1]), got[2]) == (q, r, n)
-            # building -y, then one subtraction per quotient bit 1, all of
-            # them in the steps that run
-            assert sweeps == 1 + bin(q).count("1") and q < 1 << steps
+            # one subtraction per quotient bit 1, all of them in the steps
+            # that run; no -y row is built
+            assert sweeps == bin(q).count("1") and q < 1 << steps
             sweeps = 0
-            got = _pykernels.div_nonrestoring(xs, ys)
+            got = _pykernels.div_nonrestoring(xs, ys, 2)
             assert (value(got[0]), value(got[1]), got[2]) == (q, r, n)
             # building -y, one add or subtract per step, and the add-back
             # when the last partial is negative (its quotient bit is 0)

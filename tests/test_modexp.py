@@ -235,9 +235,9 @@ def test_restoring_kernel_runs_once_per_reduction_not_below_n(monkeypatch):
     calls = []
     kernel = _pykernels.div_restoring
 
-    def counting(x_bits, y_bits):
+    def counting(xs, ys, base):
         calls.append(1)
-        return kernel(x_bits, y_bits)
+        return kernel(xs, ys, base)
 
     strategy = Strategy("vedic", "restoring")
     rng = Lcg64(71)
