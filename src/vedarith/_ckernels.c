@@ -1,7 +1,7 @@
 /* Compiled digit-array kernels.
 
    Function-for-function twin of `_pykernels`: same canonical
-   little-endian digit lists in and out, same digit-serial algorithms,
+   little-endian digit tuples in and out, same digit-serial algorithms,
    bit-identical results.  Digits fit comfortably in 64-bit words
    (base <= MAX_BASE; `Natural` uses at most 256), so every column
    accumulator and carry stays well inside u64 range.  The buffer sizes
@@ -26,7 +26,7 @@
 typedef unsigned long long u64;
 
 /* Column sums of n products of digits below 2**16 stay below n * 2**32,
-   which no list that fits in memory can push past u64. */
+   which no tuple that fits in memory can push past u64. */
 #define MAX_BASE ((u64)1 << 16)
 
 /* --- digit buffers ------------------------------------------------------- */
@@ -80,15 +80,15 @@ as_digit(PyObject *obj, u64 base, u64 *out)
     return 0;
 }
 
-/* The digits of a list, each below `base`, in a fresh buffer with `spare`
+/* The digits of a tuple, each below `base`, in a fresh buffer with `spare`
    zeroed slots after them, or NULL with an error set. */
 static u64 *
-from_list(PyObject *list, Py_ssize_t spare, u64 base)
+from_tuple(PyObject *tuple, Py_ssize_t spare, u64 base)
 {
-    Py_ssize_t i, n = PyList_GET_SIZE(list);
+    Py_ssize_t i, n = PyTuple_GET_SIZE(tuple);
     u64 *p = alloc_digits(n + spare);
     for (i = 0; p != NULL && i < n; i++) {
-        if (!as_digit(PyList_GET_ITEM(list, i), base, &p[i])) {
+        if (!as_digit(PyTuple_GET_ITEM(tuple, i), base, &p[i])) {
             PyMem_Free(p);
             p = NULL;
         }
@@ -97,16 +97,16 @@ from_list(PyObject *list, Py_ssize_t spare, u64 base)
 }
 
 static PyObject *
-to_list(const u64 *a, Py_ssize_t n)
+to_tuple(const u64 *a, Py_ssize_t n)
 {
     Py_ssize_t i;
-    PyObject *out = PyList_New(n);
+    PyObject *out = PyTuple_New(n);
     for (i = 0; out != NULL && i < n; i++) {
         PyObject *d = PyLong_FromUnsignedLongLong(a[i]);
         if (d == NULL)
             Py_CLEAR(out);
         else
-            PyList_SET_ITEM(out, i, d);
+            PyTuple_SET_ITEM(out, i, d);
     }
     return out;
 }
@@ -259,7 +259,7 @@ shift_add_product(const u64 *x, Py_ssize_t m, const u64 *y, Py_ssize_t n,
 }
 
 /* square, when not NULL, takes the product when both arguments are the
-   same list object. */
+   same tuple object. */
 static PyObject *
 multiply(PyObject *args, const char *format, product_fn product,
          product_fn square)
@@ -268,18 +268,18 @@ multiply(PyObject *args, const char *format, product_fn product,
     u64 base, *x = NULL, *y = NULL, *out = NULL;
     Py_ssize_t m, n;
 
-    if (!PyArg_ParseTuple(args, format, &PyList_Type, &xs, &PyList_Type, &ys,
+    if (!PyArg_ParseTuple(args, format, &PyTuple_Type, &xs, &PyTuple_Type, &ys,
                           as_base, &base))
         return NULL;
-    m = PyList_GET_SIZE(xs);
-    n = PyList_GET_SIZE(ys);
+    m = PyTuple_GET_SIZE(xs);
+    n = PyTuple_GET_SIZE(ys);
     if (m == 0 || n == 0)
-        return PyList_New(0);
+        return PyTuple_New(0);
     if (square != NULL && xs == ys)
         product = square;
-    if ((x = from_list(xs, 0, base)) && (y = from_list(ys, 0, base))
+    if ((x = from_tuple(xs, 0, base)) && (y = from_tuple(ys, 0, base))
         && (out = alloc_digits(m + n)))
-        result = to_list(out, trim(out, product(x, m, y, n, base, out)));
+        result = to_tuple(out, trim(out, product(x, m, y, n, base, out)));
     PyMem_Free(x);
     PyMem_Free(y);
     PyMem_Free(out);
@@ -326,18 +326,18 @@ div_straight(PyObject *self, PyObject *args)
     Py_ssize_t M, L, k, i;
     int want_trace = 0, adj, max_adjust = 0, rc;
 
-    if (!PyArg_ParseTuple(args, "O!O!O&|p:div_straight", &PyList_Type, &xs,
-                          &PyList_Type, &ys, as_base, &base, &want_trace))
+    if (!PyArg_ParseTuple(args, "O!O!O&|p:div_straight", &PyTuple_Type, &xs,
+                          &PyTuple_Type, &ys, as_base, &base, &want_trace))
         return NULL;
-    M = PyList_GET_SIZE(ys);
-    L = PyList_GET_SIZE(xs);
+    M = PyTuple_GET_SIZE(ys);
+    L = PyTuple_GET_SIZE(xs);
     if (M == 0) {
         PyErr_SetString(PyExc_ZeroDivisionError, "division by zero");
         return NULL;
     }
     /* X has room for the scaling carry and for the first window's zero top */
     if ((want_trace && !(trace = PyList_New(0)))
-        || !(dy = from_list(ys, 1, base)) || !(X = from_list(xs, 2, base))
+        || !(dy = from_tuple(ys, 1, base)) || !(X = from_tuple(xs, 2, base))
         || !(SUB = alloc_digits(M + 1)))
         goto done;
     /* normalize both operands in place */
@@ -353,8 +353,8 @@ div_straight(PyObject *self, PyObject *args)
         }
     }
     if (L < M) {
-        result = Py_BuildValue("(NNiO)", PyList_New(0), PySequence_List(xs),
-                               0, trace ? trace : Py_None);
+        result = Py_BuildValue("(NNiO)", PyTuple_New(0), Py_NewRef(xs), 0,
+                               trace ? trace : Py_None);
         goto done;
     }
     main = dy[M - 1];
@@ -402,8 +402,8 @@ div_straight(PyObject *self, PyObject *args)
             goto done;
         }
     }
-    result = Py_BuildValue("(NNiO)", to_list(Q, trim(Q, L - M + 1)),
-                           to_list(X, trim(X, M + 1)), max_adjust,
+    result = Py_BuildValue("(NNiO)", to_tuple(Q, trim(Q, L - M + 1)),
+                           to_tuple(X, trim(X, M + 1)), max_adjust,
                            trace ? trace : Py_None);
 done:
     Py_XDECREF(trace);
@@ -460,7 +460,7 @@ to_bits(u64 *a, Py_ssize_t n, u64 base, Py_ssize_t spare, Py_ssize_t *nbits)
 }
 
 /* The canonical digits in base of the n little-endian bits in b, as a
-   list, or NULL with an error set.  A power-of-two base packs them by
+   tuple, or NULL with an error set.  A power-of-two base packs them by
    shift; any other by digit-serial doubling, top bit first. */
 static PyObject *
 from_bits(const u64 *b, Py_ssize_t n, u64 base)
@@ -489,7 +489,7 @@ from_bits(const u64 *b, Py_ssize_t n, u64 base)
                 d[m++] = carry;
         }
     }
-    out = to_list(d, trim(d, m));
+    out = to_tuple(d, trim(d, m));
     PyMem_Free(d);
     return out;
 }
@@ -516,18 +516,18 @@ bit_divide(PyObject *args, const char *format, int restoring)
     u64 *Q = NULL, *R;
     Py_ssize_t n, ny, w, k;
 
-    if (!PyArg_ParseTuple(args, format, &PyList_Type, &xs, &PyList_Type, &ys,
+    if (!PyArg_ParseTuple(args, format, &PyTuple_Type, &xs, &PyTuple_Type, &ys,
                           as_base, &base))
         return NULL;
-    if (!(xd = from_list(xs, 0, base)) || !(yd = from_list(ys, 0, base))
-        || !(plus = to_bits(yd, PyList_GET_SIZE(ys), base, 2, &ny)))
+    if (!(xd = from_tuple(xs, 0, base)) || !(yd = from_tuple(ys, 0, base))
+        || !(plus = to_bits(yd, PyTuple_GET_SIZE(ys), base, 2, &ny)))
         goto done;
     if (ny == 0) {
         PyErr_SetString(PyExc_ZeroDivisionError, "division by zero");
         goto done;
     }
     w = ny + 2;
-    if (!(X = to_bits(xd, PyList_GET_SIZE(xs), base, w, &n))
+    if (!(X = to_bits(xd, PyTuple_GET_SIZE(xs), base, w, &n))
         || (!restoring && !(minus = alloc_digits(w)))
         || !(Q = alloc_digits(n)))
         goto done;

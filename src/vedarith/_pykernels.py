@@ -1,7 +1,7 @@
 """Pure-Python digit-array kernels.
 
-Inputs and outputs are canonical little-endian digit lists (no trailing
-most-significant zeros; zero is the empty list).  `_ckernels` is the
+Inputs and outputs are the canonical little-endian digit tuples a `Natural`
+holds (no trailing most-significant zeros; zero is `()`).  `_ckernels` is the
 compiled twin: same functions, same digit-level algorithms, bit-identical
 results.  Everything here is deliberately digit-serial; no function ever
 falls back to machine-word multiplication or division of whole operands.
@@ -72,12 +72,12 @@ def _scale(digits: list, factor: int, base: int) -> list:
     return _carry([d * factor for d in digits], base) if factor else []
 
 
-def mul_vedic(xs: list, ys: list, base: int) -> list:
+def mul_vedic(xs: tuple, ys: tuple, base: int) -> tuple:
     """Cross-product multiplication: column sums for every digit diagonal,
     then a single left-to-right carry-resolution sweep.  A square (`xs is
     ys`) takes the duplex sums: each distinct digit pair once, doubled."""
     if not xs or not ys:
-        return []
+        return ()
     cols = [0] * (len(xs) + len(ys) - 1)
     square = xs is ys
     for i, xi in enumerate(xs):
@@ -91,14 +91,14 @@ def mul_vedic(xs: list, ys: list, base: int) -> list:
         for y in row:
             cols[k] += xi * y
             k += 1
-    return _carry(cols, base)
+    return tuple(_carry(cols, base))
 
 
-def mul_shift_add(xs: list, ys: list, base: int) -> list:
+def mul_shift_add(xs: tuple, ys: tuple, base: int) -> tuple:
     """Row-wise schoolbook multiplication: one shifted digit-scaled addend
     per multiplier digit, accumulated as it goes."""
     if not xs or not ys:
-        return []
+        return ()
     res = [0] * (len(xs) + len(ys))
     for j, d in enumerate(ys):
         if d == 0:
@@ -115,7 +115,7 @@ def mul_shift_add(xs: list, ys: list, base: int) -> list:
             res[k] = t % base
             carry = t // base
             k += 1
-    return _trim(res)
+    return tuple(_trim(res))
 
 
 class _Divisor(dict):
@@ -141,13 +141,10 @@ class _Divisor(dict):
         return row
 
 
-# The record of the last divisor, keyed on (tuple(ys), base): the tuple is
-# a private, immutable copy, so a caller that later mutates its list
-# cannot make a stale record match.
 _divisor = lru_cache(maxsize=1)(_Divisor)
 
 
-def div_straight(xs: list, ys: list, base: int, want_trace: bool = False):
+def div_straight(xs: tuple, ys: tuple, base: int, want_trace: bool = False):
     """Straight (at-sight) division by the divisor's leading digit.
 
     The divisor is normalized by a single-digit scale so its leading digit
@@ -172,14 +169,14 @@ def div_straight(xs: list, ys: list, base: int, want_trace: bool = False):
     if M == 0:
         raise ZeroDivisionError("division by zero")
     trace = [] if want_trace else None
-    d = _divisor(tuple(ys), base)
+    d = _divisor(ys, base)
     scale = d.scale
     dx = xs if scale == 1 else _scale(xs, scale, base)
     L = len(dx)
     if L < M:
-        return [], list(xs), 0, trace
+        return (), xs, 0, trace
     main = d.main
-    W = [0, 0] + dx[: L - M : -1]  # the top M-1 digits; each step adds one
+    W = [0, 0, *dx[: L - M : -1]]  # the top M-1 digits; each step adds one
     sweep = range(M, -1, -1)
     quotient = []
     max_adjust = 0
@@ -211,7 +208,7 @@ def div_straight(xs: list, ys: list, base: int, want_trace: bool = False):
             W[i] = cur // scale
             carry = cur % scale
         assert carry == 0, "scaled remainder must divide exactly"
-    return _trim(quotient[::-1]), _trim(W[::-1]), max_adjust, trace
+    return tuple(_trim(quotient[::-1])), tuple(_trim(W[::-1])), max_adjust, trace
 
 
 @lru_cache(maxsize=None)
@@ -244,7 +241,7 @@ def _bits_of(digits, base: int) -> list:
     return _trim([b for d in digits for b in table[d]])
 
 
-def _digits_of(bits: list, base: int) -> list:
+def _digits_of(bits: list, base: int) -> tuple:
     """The canonical little-endian digits in any base 2..65536 of
     little-endian bits: by table for a power of two up to 256, else by
     digit-serial multiplication by 2**16, sixteen doublings per pass, top
@@ -259,13 +256,13 @@ def _digits_of(bits: list, base: int) -> list:
             while carry:
                 carry, d = divmod(carry, base)
                 digits.append(d)
-        return digits
+        return tuple(digits)
     w, _, digit = tables
     groups = zip(*[iter(bits + [0] * (-len(bits) % w))] * w)
-    return _trim(list(map(digit.__getitem__, groups)))
+    return tuple(_trim(list(map(digit.__getitem__, groups))))
 
 
-def _bit_divide(xs: list, ys: list, base: int, restoring: bool):
+def _bit_divide(xs: tuple, ys: tuple, base: int, restoring: bool):
     # On the operands' bits, the partial remainder is a window of
     # len(y_bits) + 2 big-endian bits in two's complement, room for every
     # partial from -2y to 2y, and starts as the dividend's top k bits, which
@@ -300,7 +297,7 @@ def _bit_divide(xs: list, ys: list, base: int, restoring: bool):
     return _digits_of(Q, base), _digits_of(W[::-1], base), n
 
 
-def div_restoring(xs: list, ys: list, base: int):
+def div_restoring(xs: tuple, ys: tuple, base: int):
     """Bit-serial restoring division: shift in one dividend bit, compare
     the partial with the divisor, subtract it only when the partial is not
     below it.  The partial is a fixed window of len(y_bits) + 2 bits that
@@ -312,7 +309,7 @@ def div_restoring(xs: list, ys: list, base: int):
     return _bit_divide(xs, ys, base, True)
 
 
-def div_nonrestoring(xs: list, ys: list, base: int):
+def div_nonrestoring(xs: tuple, ys: tuple, base: int):
     """Bit-serial non-restoring division: shift in one dividend bit, then
     subtract the divisor when the previous partial is non-negative, else
     add it, with no intermediate restore; the quotient bit is the inverted

@@ -2,7 +2,7 @@
 multiplier.
 
 The dividers are the classic bit-serial hardware formulations.  Like the
-straight divider they take the operands' digit lists and return digits in
+straight divider they take the operands' digit tuples and return digits in
 their base; their kernels expand to base 2 on entry and pack back on exit.
 The multiplier scans multiplier digits in the operands' own base.  The
 bit kernels skip the leading steps that can only yield quotient bit 0, as
@@ -13,9 +13,9 @@ divider and the cross-product multiplier.
 
 from __future__ import annotations
 
-from . import backend, numeral
 from .numeral import Natural
 from .vedic_div import DivResult, _divide
+from .vedic_mul import _multiply
 
 
 def restoring_divide(dividend: Natural, divisor: Natural) -> DivResult:
@@ -31,6 +31,4 @@ def nonrestoring_divide(dividend: Natural, divisor: Natural) -> DivResult:
 
 def shift_add_multiply(x: Natural, y: Natural) -> Natural:
     """Accumulate one shifted, digit-scaled copy of x per digit of y."""
-    base = numeral.same_base(x, y)
-    out = backend.kernels().mul_shift_add(list(x.digits), list(y.digits), int(base))
-    return numeral._from_canonical(tuple(out), base)
+    return _multiply(x, y, "mul_shift_add")

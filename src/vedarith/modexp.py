@@ -6,8 +6,8 @@ shift-add) and the divider (straight, restoring or non-restoring), so the
 same exponentiation can be timed against each arithmetic backend.  Results
 are identical for every combination.
 
-A modular product works on digit lists: one kernel multiply, then one
-kernel division whose quotient is dropped.
+A modular product works on the operands' digit tuples: one kernel
+multiply, then one kernel division whose quotient is dropped.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .numeral import Natural, Record
 
 class Algorithm:
     """One registered algorithm: its public function on Naturals (`run`),
-    and the name of the kernel that does its work on digit lists; every
+    and the name of the kernel that does its work on digit tuples; every
     kernel takes `(xs, ys, base)`."""
 
     __slots__ = ("run", "kernel")
@@ -63,8 +63,8 @@ def all_strategies() -> tuple[Strategy, ...]:
     )
 
 
-def _reduce(xs: list, ns: list, base: int, divider: Algorithm) -> list:
-    """The remainder of digit list xs by n's digit list ns; xs itself when
+def _reduce(xs: tuple, ns: tuple, base: int, divider: Algorithm) -> tuple:
+    """The remainder of digit tuple xs by n's digits ns; xs itself when
     its value is below n (length first, then the big-endian digits).  No
     value is below a zero n, so every call with one reaches the check."""
     if len(xs) < len(ns) or (len(xs) == len(ns) and xs[::-1] < ns[::-1]):
@@ -78,9 +78,8 @@ def mod_reduce(a: Natural, n: Natural, strategy: Strategy = DEFAULT_STRATEGY) ->
     """Remainder of a by n, using the strategy's divider; a itself when it
     is already below n."""
     numeral.same_base(a, n)
-    xs = list(a.digits)
-    rs = _reduce(xs, list(n.digits), int(n.base), DIVIDERS[strategy.divider])
-    return a if rs is xs else numeral._from_canonical(tuple(rs), n.base)
+    rs = _reduce(a.digits, n.digits, int(n.base), DIVIDERS[strategy.divider])
+    return a if rs is a.digits else numeral._from_canonical(rs, n.base)
 
 
 def mod_mul(
@@ -88,17 +87,17 @@ def mod_mul(
 ) -> Natural:
     """(a * b) mod n via the strategy's multiplier then divider: an operand
     is reduced only when it is not below n, then one kernel product and one
-    reduction.  `mod_mul(a, a, n)` hands the multiplier one list, so the
+    reduction.  `mod_mul(a, a, n)` hands the multiplier one tuple, so the
     cross-product multiplier squares by its duplex path."""
     numeral.same_base(a, n)
     numeral.same_base(b, n)
-    ns, base = list(n.digits), int(n.base)  # the kernels take lists
+    ns, base = n.digits, int(n.base)
     divider = DIVIDERS[strategy.divider]
-    xs = _reduce(list(a.digits), ns, base, divider)
-    ys = xs if b is a else _reduce(list(b.digits), ns, base, divider)
+    xs = _reduce(a.digits, ns, base, divider)
+    ys = xs if b is a else _reduce(b.digits, ns, base, divider)
     multiply = getattr(backend.kernels(), MULTIPLIERS[strategy.multiplier].kernel)
     product = _reduce(multiply(xs, ys, base), ns, base, divider)
-    return numeral._from_canonical(tuple(product), n.base)
+    return numeral._from_canonical(product, n.base)
 
 
 def mod_pow(

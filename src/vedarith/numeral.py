@@ -309,4 +309,4 @@ def from_bits(bits: list[int], base: Base = DEFAULT_BASE) -> Natural:
     if not set(bits) <= {0, 1}:
         raise ValueError("bits must be 0 or 1")
     base = Base(base)
-    return _from_canonical(tuple(_pykernels._digits_of(bits, int(base))), base)
+    return _from_canonical(_pykernels._digits_of(bits, int(base)), base)

@@ -239,6 +239,7 @@ def decrypt(
 #   kind=public|private
 
 _KEY_FIELDS = ("base", "n", "exp", "kind")
+_KEY_BASES = {str(int(b)): b for b in Base}  # the one spelling save_key writes
 
 
 def save_key(path, key: RsaPublicKey | RsaPrivateKey) -> None:
@@ -265,10 +266,9 @@ def load_key(path) -> RsaPublicKey | RsaPrivateKey:
     missing = [f for f in _KEY_FIELDS if f not in fields]
     if missing:
         raise KeyFileError(f"missing fields: {', '.join(missing)}")
-    try:
-        base = Base(int(fields["base"]))
-    except ValueError as exc:
-        raise KeyFileError(f"unsupported base {fields['base']!r}") from exc
+    base = _KEY_BASES.get(fields["base"])
+    if base is None:
+        raise KeyFileError(f"unsupported base {fields['base']!r}")
     modulus = numeral.parse(fields["n"], base)
     exponent = numeral.parse(fields["exp"], base)
     if fields["kind"] == "public":

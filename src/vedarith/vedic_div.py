@@ -11,7 +11,7 @@ is then subtracted once.
 Divisors whose leading digit is small are scaled up by a single-digit
 factor first, which caps the adjust count at two per step; the remainder
 is de-scaled exactly at the end.  The kernels (`backend.kernels()`) do
-all of this on digit lists; this module converts to and from `Natural`.
+all of this on a `Natural`'s digit tuple; this module wraps the results.
 """
 
 from __future__ import annotations
@@ -72,12 +72,12 @@ def divide_traced(
 def _divide(dividend: Natural, divisor: Natural, kernel: str, *flags):
     """Every divider's one path on Naturals: the operands' common base, the
     zero check, then the active backend's named kernel on their digit
-    lists.  Returns the DivResult and the kernel's remaining fields."""
+    tuples.  Returns the DivResult and the kernel's remaining fields."""
     base = numeral.same_base(dividend, divisor)
     if divisor.is_zero():
         raise ZeroDivisionError("division by zero")
     q, r, *fields = getattr(backend.kernels(), kernel)(
-        list(dividend.digits), list(divisor.digits), int(base), *flags
+        dividend.digits, divisor.digits, int(base), *flags
     )
-    quotient = numeral._from_canonical(tuple(q), base)
-    return DivResult(quotient, numeral._from_canonical(tuple(r), base)), fields
+    quotient = numeral._from_canonical(q, base)
+    return DivResult(quotient, numeral._from_canonical(r, base)), fields

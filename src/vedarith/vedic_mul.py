@@ -25,11 +25,16 @@ class StructureReport(Record):
 
 def multiply(x: Natural, y: Natural) -> Natural:
     """Product via cross-product column sums and one carry sweep."""
+    return _multiply(x, y, "mul_vedic")
+
+
+def _multiply(x: Natural, y: Natural, kernel: str) -> Natural:
+    """Every multiplier's one path on Naturals: the named kernel on the digit
+    tuples, x's twice when the digits are equal (a square: the duplex path)."""
     base = numeral.same_base(x, y)
-    xs = list(x.digits)
-    ys = xs if x.digits == y.digits else list(y.digits)  # a square: duplex
-    out = backend.kernels().mul_vedic(xs, ys, int(base))
-    return numeral._from_canonical(tuple(out), base)
+    ys = x.digits if x.digits == y.digits else y.digits
+    out = getattr(backend.kernels(), kernel)(x.digits, ys, int(base))
+    return numeral._from_canonical(out, base)
 
 
 def structure_report(operand_bits: int, group_bits: int) -> StructureReport:

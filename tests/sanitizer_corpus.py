@@ -26,22 +26,22 @@ def load(path):
 
 
 def shape(rng, maxlen, base):
-    """A canonical digit list: empty, one digit, all top digits, a power of
+    """A canonical digit tuple: empty, one digit, all top digits, a power of
     the base, or random digits."""
     n = rng.below(maxlen) + 1
     kind = rng.below(6)
     if kind == 0:
-        return []
+        return ()
     if kind == 1:
-        return [rng.below(base - 1) + 1]
+        return (rng.below(base - 1) + 1,)
     if kind == 2:
-        return [base - 1] * n
+        return (base - 1,) * n
     if kind == 3:
-        return [0] * (n - 1) + [1]
+        return (0,) * (n - 1) + (1,)
     out = [rng.below(base) for _ in range(n)]
     while out and out[-1] == 0:
         out.pop()
-    return out
+    return tuple(out)
 
 
 def agree(c, name, *args):
@@ -74,25 +74,29 @@ def run(c, rounds, seed=0x5A17):
             agree(c, "div_nonrestoring", xs, ys, base)
 
         # error paths: a digit not below the base, at a random place; a
-        # negative digit; a base out of range; no divisor
-        bad = (xs or [1]) + ys
+        # negative digit; a base out of range; no divisor; digits in a list
+        bad = [*(xs or (1,)), *ys]
         bad[rng.below(len(bad))] = base
+        bad = tuple(bad)
         for name in ("mul_vedic", "mul_shift_add"):
-            raises(ValueError, getattr(c, name), bad, [1], base)
-            raises(ValueError, getattr(c, name), [1], bad, base)
-            raises(OverflowError, getattr(c, name), [1], [1, -1], base)
-            raises(ValueError, getattr(c, name), [1], [1], (0, 1, 65537)[r % 3])
-        raises(ValueError, c.div_straight, bad, [1], base, r % 2 == 0)
-        raises(ValueError, c.div_straight, [1], bad, base, r % 2 == 0)
-        raises(OverflowError, c.div_straight, [-1], [1], base)
-        raises(ValueError, c.div_straight, [1], [1], (0, 1, 65537)[r % 3])
-        raises(ZeroDivisionError, c.div_straight, xs, [], base, r % 2 == 0)
+            raises(ValueError, getattr(c, name), bad, (1,), base)
+            raises(ValueError, getattr(c, name), (1,), bad, base)
+            raises(OverflowError, getattr(c, name), (1,), (1, -1), base)
+            raises(ValueError, getattr(c, name), (1,), (1,), (0, 1, 65537)[r % 3])
+            raises(TypeError, getattr(c, name), list(xs), ys, base)
+        raises(ValueError, c.div_straight, bad, (1,), base, r % 2 == 0)
+        raises(ValueError, c.div_straight, (1,), bad, base, r % 2 == 0)
+        raises(OverflowError, c.div_straight, (-1,), (1,), base)
+        raises(ValueError, c.div_straight, (1,), (1,), (0, 1, 65537)[r % 3])
+        raises(ZeroDivisionError, c.div_straight, xs, (), base, r % 2 == 0)
+        raises(TypeError, c.div_straight, xs, list(ys), base, r % 2 == 0)
         for name in ("div_restoring", "div_nonrestoring"):
-            raises(ValueError, getattr(c, name), bad, [1], base)
-            raises(ValueError, getattr(c, name), [1], bad, base)
-            raises(OverflowError, getattr(c, name), [1, -1], [1], base)
-            raises(ValueError, getattr(c, name), [1], [1], (0, 1, 65537)[r % 3])
-            raises(ZeroDivisionError, getattr(c, name), xs, [], base)
+            raises(ValueError, getattr(c, name), bad, (1,), base)
+            raises(ValueError, getattr(c, name), (1,), bad, base)
+            raises(OverflowError, getattr(c, name), (1, -1), (1,), base)
+            raises(ValueError, getattr(c, name), (1,), (1,), (0, 1, 65537)[r % 3])
+            raises(ZeroDivisionError, getattr(c, name), xs, (), base)
+            raises(TypeError, getattr(c, name), list(xs), ys, base)
 
 
 if __name__ == "__main__":

@@ -63,10 +63,10 @@ def test_subtract_attempt_count_is_dividend_bit_length():
         a = rng.bits(rng.below(120) + 1)
         b = rng.bits(rng.below(60) + 1) or 1
         base = (2, 10, 16, 256)[rng.below(4)]
-        xs, ys = list(nat(a, base).digits), list(nat(b, base).digits)
+        xs, ys = nat(a, base).digits, nat(b, base).digits
         assert kernels.div_restoring(xs, ys, base)[2] == a.bit_length()
         assert kernels.div_nonrestoring(xs, ys, base)[2] == a.bit_length()
-    assert kernels.div_restoring([], [1, 0, 0, 1], 2)[2] == 0
+    assert kernels.div_restoring((), (1, 0, 0, 1), 2)[2] == 0
 
 
 def test_bit_dividers_skip_the_steps_that_can_only_yield_zero(monkeypatch):
@@ -84,7 +84,7 @@ def test_bit_dividers_skip_the_steps_that_can_only_yield_zero(monkeypatch):
     monkeypatch.setattr(_pykernels, "_window_sub", counting)
 
     def bits(v):
-        return [(v >> i) & 1 for i in range(v.bit_length())]
+        return tuple((v >> i) & 1 for i in range(v.bit_length()))
 
     def value(bs):
         return sum(b << i for i, b in enumerate(bs))

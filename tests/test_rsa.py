@@ -312,9 +312,11 @@ def test_key_file_rejects_unknown_and_missing_lines(tmp_path):
     path.write_text("base=16\nn=ca1\nexp=11\nkind=master\n")
     with pytest.raises(rsa.KeyFileError, match="kind"):
         rsa.load_key(path)
-    path.write_text("base=12\nn=ca1\nexp=11\nkind=public\n")
-    with pytest.raises(rsa.KeyFileError, match="base"):
-        rsa.load_key(path)
+    # only the spelling save_key writes: no sign, padding or underscore
+    for base in ("12", " 16", "1_6", "+16", "016", "16\t"):
+        path.write_text(f"base={base}\nn=ca1\nexp=11\nkind=public\n")
+        with pytest.raises(rsa.KeyFileError, match="base"):
+            rsa.load_key(path)
 
 
 def test_message_bytes_helpers():

@@ -12,17 +12,17 @@ divisors = st.integers(min_value=1, max_value=1 << 120)
 
 
 def test_divisor_record_examples():
-    d = _pykernels._Divisor([7, 7], 10)  # 77
+    d = _pykernels._Divisor((7, 7), 10)  # 77
     assert (d.main, d.scale) == (7, 1)
-    d = _pykernels._Divisor([1], 16)
+    d = _pykernels._Divisor((1,), 16)
     assert (d.main, d.scale) == (8, 8)
-    d = _pykernels._Divisor([3, 15], 16)  # 0xf3
+    d = _pykernels._Divisor((3, 15), 16)  # 0xf3
     assert (d.main, d.scale) == (15, 1)
 
 
 @given(divisors, bases)
 def test_divisor_record_scale_and_leading_digit_bound(d, base):
-    ys = list(numeral.from_int(d, base).digits)
+    ys = numeral.from_int(d, base).digits
     beta = int(base)
     record = _pykernels._Divisor(ys, beta)
     assert 1 <= record.scale < beta
@@ -166,7 +166,7 @@ def test_normalization_transparency():
             a = rng.bits(rng.below(64) + 1)
             b = rng.bits(rng.below(48) + 1) or 1
             x, y = numeral.from_int(a, base), numeral.from_int(b, base)
-            s = _pykernels._Divisor(list(y.digits), beta).scale
+            s = _pykernels._Divisor(y.digits, beta).scale
             plain = vedic_div.divide(x, y)
             ns = numeral.from_int(s, base)
             scaled_res = vedic_div.divide(

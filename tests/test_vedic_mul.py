@@ -25,7 +25,7 @@ def test_multiply_all_ones_square():
 
 
 def test_square_takes_the_duplex_path(monkeypatch):
-    # equal operands reach the kernel as one list, whether they are one
+    # equal operands reach the kernel as one tuple, whether they are one
     # Natural or two with separate digit tuples; the digits are the same
     seen = []
     kernels = backend.kernels()
