@@ -306,7 +306,8 @@ def to_bits(x: Natural) -> list[int]:
 
 def from_bits(bits: list[int], base: Base = DEFAULT_BASE) -> Natural:
     """Inverse of to_bits for any supported base."""
-    if not set(bits) <= {0, 1}:
+    # exactly int, as Natural requires of digits: 1.0 and True equal 1
+    if any(type(b) is not int or b not in (0, 1) for b in bits):
         raise ValueError("bits must be 0 or 1")
     base = Base(base)
     return _from_canonical(_pykernels._digits_of(bits, int(base)), base)

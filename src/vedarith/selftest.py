@@ -10,19 +10,16 @@ both run them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import baseline_arith, numeral, rsa, vedic_div, vedic_mul
-from .numeral import Base
+from .numeral import Base, Record
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    passed: int
-    failed: int
-    detail: str = ""
-    stats: dict = field(default_factory=dict)
+class SuiteResult(Record):
+    __slots__ = ("name", "passed", "failed", "detail", "stats")
+
+    def __init__(self, name: str, passed: int, failed: int, detail: str = "",
+                 stats: dict | None = None):
+        super().__init__(name, passed, failed, detail, {} if stats is None else stats)
 
     @property
     def ok(self) -> bool:

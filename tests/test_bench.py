@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from vedarith import backend, bench, modexp
@@ -24,10 +26,50 @@ def test_config_validation():
 
 
 def test_record_arithmetic_and_rows():
-    rec = BenchRecord("mul", "vedic", 16, 4, 4000, 1000.0, "ab")
-    assert rec.ns_per_op == rec.total_ns / rec.iterations
-    assert rec.csv_row() == "mul,vedic,16,4,4000,1000.0,ab"
-    assert rec.csv_row(with_backend=True).endswith(",None")
+    rec = BenchRecord("mul", "vedic", 16, 4, 4000, "ab", "pure")
+    # derived, not stored: a record cannot carry a rate its totals disagree with
+    assert isinstance(BenchRecord.ns_per_op, property)
+    assert "ns_per_op" not in BenchRecord.__slots__
+    assert rec.ns_per_op == rec.total_ns / rec.iterations == 1000.0
+    with pytest.raises(TypeError):
+        BenchRecord("mul", "vedic", 16, 4, 4000, "ab")  # the backend is required
+    odd = BenchRecord("div", "restoring", 8, 3, 4001, "cd", "compiled")
+    assert list(bench.csv_lines([rec, odd])) == [
+        CSV_HEADER,
+        "mul,vedic,16,4,4000,1000.0,ab",
+        "div,restoring,8,3,4001,1333.7,cd",
+    ]
+    assert list(bench.csv_lines([rec, odd], compare_backends=True)) == [
+        CSV_HEADER + ",backend",
+        "mul,vedic,16,4,4000,1000.0,ab,pure",
+        "div,restoring,8,3,4001,1333.7,cd,compiled",
+    ]
+
+
+def test_timer_pauses_the_collector_and_restores_its_state():
+    seen = []
+
+    def run(args):
+        seen.append(gc.isenabled())
+        if args == "fail" and len(seen) > 1:  # after the warmup call
+            raise RuntimeError("run failed")
+        return (len(seen),)
+
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            seen.clear()
+            bench._time_cell(run, ["ok"], 3)
+            assert seen == [enabled, False, False, False]
+            assert gc.isenabled() is enabled
+            seen.clear()
+            with pytest.raises(RuntimeError, match="run failed"):
+                bench._time_cell(run, ["fail"], 3)
+            assert seen == [enabled, False]
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_suite_produces_paired_records():

@@ -235,8 +235,7 @@ def test_info_when_the_environment_pins_the_backend():
 
 
 def test_cli_import_loads_no_class_factory():
-    # `bench` and `selftest` keep their dataclasses; only their commands
-    # import them
+    # `bench` and `selftest` are imported only by their commands
     code = "import sys, vedarith.cli\nprint('dataclasses' in sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", code], env=package_env(), capture_output=True, text=True

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from conftest import ALL_BASES, nat, package_env, val
 from vedarith import numeral
+from vedarith.bench import BenchConfig, BenchRecord
 from vedarith.modexp import Strategy
 from vedarith.numeral import (
     Base,
@@ -100,6 +101,8 @@ VALUE_TYPES = [
         KeyPair,
         (RsaPublicKey(_N, _E), RsaPrivateKey(_N, _I), nat(61), nat(53), nat(3120)),
     ),
+    (BenchRecord, ("mul", "vedic", 16, 4, 4000, "ab", "pure")),
+    (BenchConfig, ((8, 16), 3, 7, ("mul",), None, False)),
 ]
 
 
@@ -131,7 +134,8 @@ def test_values_of_different_types_differ():
 
 def test_importing_the_library_loads_no_class_factory():
     # a fresh interpreter: the package's value types are plain slotted classes
-    code = "import sys, vedarith, vedarith.rsa, vedarith.randgen\n"
+    code = "import sys, vedarith, vedarith.rsa, vedarith.randgen, vedarith.bench\n"
+    code += "import vedarith.selftest\n"
     code += "print('dataclasses' in sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", code], env=package_env(), capture_output=True, text=True
@@ -278,3 +282,11 @@ def test_bits_roundtrip(v, base):
     x = numeral.from_int(v, base)
     assert numeral.bit_length(x) == v.bit_length()
     assert numeral.from_bits(numeral.to_bits(x), base) == x
+
+
+def test_from_bits_takes_only_the_ints_0_and_1():
+    # 1.0 and True equal 1 but are no int digits; 2 and -1 are out of range
+    for bits in ([1.0, 1], [True, False, True], [1.0, 0.0, 1.0], [0, 2], [-1]):
+        for base in ALL_BASES:
+            with pytest.raises(ValueError, match="bits must be 0 or 1"):
+                numeral.from_bits(bits, base)
