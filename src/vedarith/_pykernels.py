@@ -1,10 +1,12 @@
-"""Pure-Python digit-array kernels.
+"""Pure-Python digit-array kernels, and the home of every pure digit loop.
 
 Inputs and outputs are the canonical little-endian digit tuples a `Natural`
 holds (no trailing most-significant zeros; zero is `()`).  `_ckernels` is the
 compiled twin: same functions, same digit-level algorithms, bit-identical
 results.  Everything here is deliberately digit-serial; no function ever
 falls back to machine-word multiplication or division of whole operands.
+The carry pass `_carry`, the borrow sweep `_window_sub` and short division
+`_short_divide` are written once, here; `numeral`'s add and sub use them.
 
 A square (`mul_vedic(xs, xs)`) takes the duplex column sums.
 
@@ -39,9 +41,10 @@ def _trim(digits: list) -> list:
 
 
 def _window_sub(a: list, b: list, base: int, sweep) -> None:
-    # a -= b on equal-width big-endian windows: one borrow sweep over the
-    # indices in sweep, least significant first; a borrow out of the top
-    # is dropped, so the window wraps like a fixed-width register
+    # a -= b on equal-width windows: one borrow sweep over the indices in
+    # sweep, least significant first (the order is all it needs, so a
+    # window may be big- or little-endian); a borrow out of the top is
+    # dropped, so the window wraps like a fixed-width register
     borrow = 0
     for i in sweep:
         t = a[i] - b[i] - borrow
@@ -65,6 +68,15 @@ def _carry(cols: list, base: int) -> list:
         out.append(carry % base)
         carry //= base
     return _trim(out)
+
+
+def _short_divide(digits: list, divisor: int, base: int) -> int:
+    # digits //= divisor in place on big-endian digits, top digit first;
+    # returns the remainder
+    r = 0
+    for i, d in enumerate(digits):
+        digits[i], r = divmod(r * base + d, divisor)
+    return r
 
 
 def _scale(digits: list, factor: int, base: int) -> list:
@@ -202,11 +214,7 @@ def div_straight(xs: tuple, ys: tuple, base: int, want_trace: bool = False):
             trace.append((step, K, q_est, adj, qhat, K - main * qhat))
     if scale != 1:
         # de-scale the remainder; exact by construction
-        carry = 0
-        for i, w in enumerate(W):
-            cur = carry * base + w
-            W[i] = cur // scale
-            carry = cur % scale
+        carry = _short_divide(W, scale, base)
         assert carry == 0, "scaled remainder must divide exactly"
     return tuple(_trim(quotient[::-1])), tuple(_trim(W[::-1])), max_adjust, trace
 
@@ -230,9 +238,7 @@ def _bits_of(digits, base: int) -> list:
     if tables is None:
         xs, bits = list(reversed(digits)), []  # big-endian
         while xs:
-            r = 0
-            for i, d in enumerate(xs):
-                xs[i], r = divmod(r * base + d, 1 << 16)
+            r = _short_divide(xs, 1 << 16, base)
             bits += [r >> j & 1 for j in range(16)]
             while xs and not xs[0]:
                 del xs[0]
@@ -250,12 +256,9 @@ def _digits_of(bits: list, base: int) -> tuple:
     if tables is None:
         digits = []
         for s in range((len(bits) - 1) // 16 * 16, -1, -16):
-            carry = sum(b << j for j, b in enumerate(bits[s : s + 16]))
-            for i, d in enumerate(digits):
-                carry, digits[i] = divmod((d << 16) + carry, base)
-            while carry:
-                carry, d = divmod(carry, base)
-                digits.append(d)
+            cols = [d << 16 for d in digits] or [0]
+            cols[0] += sum(b << j for j, b in enumerate(bits[s : s + 16]))
+            digits = _carry(cols, base)
         return tuple(digits)
     w, _, digit = tables
     groups = zip(*[iter(bits + [0] * (-len(bits) % w))] * w)

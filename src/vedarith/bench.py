@@ -135,6 +135,11 @@ class BenchConfig(Record):
             for a in algorithms:
                 if a not in known:
                     raise ValueError(f"unknown algorithm {a!r}")
+            for op in operations:
+                algos = _TABLE[op][0]
+                if not any(a in algorithms for a in algos):
+                    raise ValueError(f"operation {op!r} compares {', '.join(algos)}; "
+                                     "the algorithm subset names none of them")
         super().__init__(widths, iterations, seed, operations, algorithms,
                          compare_backends)
 
@@ -212,8 +217,7 @@ def run_suite(config: BenchConfig) -> tuple[list[BenchRecord], str]:
                     records.append(BenchRecord(operation, algorithm, width,
                                                config.iterations, total,
                                                checksum, name))
-            if expected is not None:
-                sink = _fold(sink, (expected,))
+            sink = _fold(sink, (expected,))
     return records, "%016x" % sink
 
 

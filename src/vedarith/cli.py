@@ -287,7 +287,5 @@ def main(argv=None) -> int:
         return 1
 
 
-run = main
-
 if __name__ == "__main__":
     sys.exit(main())

@@ -213,57 +213,33 @@ def same_base(a: Natural, b: Natural) -> Base:
 
 
 def compare(a: Natural, b: Natural) -> Ordering:
-    """Total order on values of the same base."""
+    """Total order on values of the same base: length first, then the
+    big-endian digits."""
     same_base(a, b)
-    if len(a.digits) != len(b.digits):
-        return Ordering.LESS if len(a.digits) < len(b.digits) else Ordering.GREATER
-    for da, db in zip(reversed(a.digits), reversed(b.digits)):
-        if da != db:
-            return Ordering.LESS if da < db else Ordering.GREATER
-    return Ordering.EQUAL
+    ka = len(a.digits), a.digits[::-1]
+    kb = len(b.digits), b.digits[::-1]
+    return Ordering((ka > kb) - (ka < kb))
 
 
 def add(a: Natural, b: Natural) -> Natural:
-    """Digit-wise addition with carry propagation (each carry is 0 or 1)."""
+    """Digit-wise addition: the column sums, then one carry pass."""
     beta = int(same_base(a, b))
     xs, ys = a.digits, b.digits
     if len(xs) < len(ys):
         xs, ys = ys, xs
-    out = []
-    carry = 0
-    for i, d in enumerate(xs):
-        t = d + carry
-        if i < len(ys):
-            t += ys[i]
-        if t >= beta:
-            t -= beta
-            carry = 1
-        else:
-            carry = 0
-        out.append(t)
-    if carry:
-        out.append(1)
-    return _from_canonical(tuple(out), a.base)
+    cols = [x + y for x, y in zip(xs, ys)] + list(xs[len(ys):])
+    return _from_canonical(tuple(_pykernels._carry(cols, beta)), a.base)
 
 
 def sub(a: Natural, b: Natural) -> Natural:
-    """Digit-wise subtraction with borrow; requires a >= b."""
+    """Digit-wise subtraction, one borrow sweep; requires a >= b."""
     beta = int(same_base(a, b))
     if compare(a, b) is Ordering.LESS:
         raise UnderflowError("subtraction underflow: minuend is smaller")
-    out = []
-    borrow = 0
-    for i, d in enumerate(a.digits):
-        t = d - borrow - (b.digits[i] if i < len(b.digits) else 0)
-        if t < 0:
-            t += beta
-            borrow = 1
-        else:
-            borrow = 0
-        out.append(t)
-    while out and not out[-1]:
-        out.pop()
-    return _from_canonical(tuple(out), a.base)
+    out, n = list(a.digits), len(a.digits)
+    ys = b.digits + (0,) * (n - len(b.digits))
+    _pykernels._window_sub(out, ys, beta, range(n))
+    return _from_canonical(tuple(_pykernels._trim(out)), a.base)
 
 
 def to_int(x: Natural) -> int:

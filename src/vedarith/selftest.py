@@ -31,25 +31,34 @@ class SuiteResult(Record):
         return f"{self.name}: pass={self.passed} fail={self.failed} {status}{extra}"
 
 
+def _tally(name: str, cases, stats: dict | None = None) -> SuiteResult:
+    """One sweep's result: each case yields None for a pass or the
+    failure's detail, and the first failure's detail is kept."""
+    passed = failed = 0
+    first_bad = ""
+    for bad in cases:
+        if bad is None:
+            passed += 1
+        else:
+            failed += 1
+            first_bad = first_bad or bad
+    return SuiteResult(name, passed, failed, first_bad, stats)
+
+
 def multiplier_exhaustive_8bit() -> SuiteResult:
     """vedic == shift-add == machine product for all pairs below 256 (base 16)."""
     values = [numeral.from_int(v, Base.HEX) for v in range(256)]
-    passed = failed = 0
-    first_bad = ""
-    for a in range(256):
-        na = values[a]
-        for b in range(256):
-            nb = values[b]
-            want = a * b
-            got_v = numeral.to_int(vedic_mul.multiply(na, nb))
-            got_s = numeral.to_int(baseline_arith.shift_add_multiply(na, nb))
-            if got_v == want == got_s:
-                passed += 1
-            else:
-                failed += 1
-                if not first_bad:
-                    first_bad = f"{a}*{b}: vedic={got_v} shift_add={got_s} want={want}"
-    return SuiteResult("multiplier-exhaustive-8bit", passed, failed, first_bad)
+
+    def cases():
+        for a, na in enumerate(values):
+            for b, nb in enumerate(values):
+                want = a * b
+                got_v = numeral.to_int(vedic_mul.multiply(na, nb))
+                got_s = numeral.to_int(baseline_arith.shift_add_multiply(na, nb))
+                yield None if got_v == want == got_s else (
+                    f"{a}*{b}: vedic={got_v} shift_add={got_s} want={want}"
+                )
+    return _tally("multiplier-exhaustive-8bit", cases())
 
 
 def division_agreement_small() -> SuiteResult:
@@ -58,37 +67,26 @@ def division_agreement_small() -> SuiteResult:
     worst adjust-loop count seen (stats["max_adjust"])."""
     dividends = [numeral.from_int(v, Base.HEX) for v in range(1 << 12)]
     divisors = [(d, numeral.from_int(d, Base.HEX)) for d in range(1, (1 << 6) + 1)]
-    passed = failed = 0
-    max_adjust = 0
-    first_bad = ""
-    for x, nx in enumerate(dividends):
-        for y, ny in divisors:
-            want = (x // y, x % y)
-            res_v, steps = vedic_div.divide_traced(nx, ny)
-            for step in steps:
-                if step.adjustments > max_adjust:
-                    max_adjust = step.adjustments
-            got_v = (numeral.to_int(res_v.quotient), numeral.to_int(res_v.remainder))
-            res_r = baseline_arith.restoring_divide(nx, ny)
-            got_r = (numeral.to_int(res_r.quotient), numeral.to_int(res_r.remainder))
-            res_n = baseline_arith.nonrestoring_divide(nx, ny)
-            got_n = (numeral.to_int(res_n.quotient), numeral.to_int(res_n.remainder))
-            if got_v == want == got_r == got_n:
-                passed += 1
-            else:
-                failed += 1
-                if not first_bad:
-                    first_bad = (
-                        f"{x}/{y}: vedic={got_v} restoring={got_r} "
-                        f"nonrestoring={got_n} want={want}"
-                    )
-    return SuiteResult(
-        "division-agreement-small",
-        passed,
-        failed,
-        first_bad,
-        stats={"max_adjust": max_adjust},
-    )
+    stats = {"max_adjust": 0}
+
+    def cases():
+        for x, nx in enumerate(dividends):
+            for y, ny in divisors:
+                want = (x // y, x % y)
+                res_v, steps = vedic_div.divide_traced(nx, ny)
+                for step in steps:
+                    if step.adjustments > stats["max_adjust"]:
+                        stats["max_adjust"] = step.adjustments
+                got_v = (numeral.to_int(res_v.quotient), numeral.to_int(res_v.remainder))
+                res_r = baseline_arith.restoring_divide(nx, ny)
+                got_r = (numeral.to_int(res_r.quotient), numeral.to_int(res_r.remainder))
+                res_n = baseline_arith.nonrestoring_divide(nx, ny)
+                got_n = (numeral.to_int(res_n.quotient), numeral.to_int(res_n.remainder))
+                yield None if got_v == want == got_r == got_n else (
+                    f"{x}/{y}: vedic={got_v} restoring={got_r} "
+                    f"nonrestoring={got_n} want={want}"
+                )
+    return _tally("division-agreement-small", cases(), stats)
 
 
 def golden_trace_division() -> SuiteResult:
@@ -129,18 +127,13 @@ def rsa_roundtrip_toy() -> SuiteResult:
         numeral.from_int(53, base),
         numeral.from_int(17, base),
     )
-    passed = failed = 0
-    first_bad = ""
-    for m in range(3233):
-        nm = numeral.from_int(m, base)
-        back = numeral.to_int(rsa.decrypt(rsa.encrypt(nm, pair.public), pair.private))
-        if back == m:
-            passed += 1
-        else:
-            failed += 1
-            if not first_bad:
-                first_bad = f"m={m} came back as {back}"
-    return SuiteResult("rsa-roundtrip-3233", passed, failed, first_bad)
+
+    def cases():
+        for m in range(3233):
+            nm = numeral.from_int(m, base)
+            back = numeral.to_int(rsa.decrypt(rsa.encrypt(nm, pair.public), pair.private))
+            yield None if back == m else f"m={m} came back as {back}"
+    return _tally("rsa-roundtrip-3233", cases())
 
 
 def run_all() -> list[SuiteResult]:

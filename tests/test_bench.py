@@ -25,6 +25,20 @@ def test_config_validation():
         BenchConfig(algorithms=("magic",))
 
 
+def test_an_algorithm_subset_must_name_an_algorithm_of_every_operation():
+    # a subset that names none of an operation's algorithms would time
+    # nothing for it and still print a result checksum
+    with pytest.raises(ValueError) as err:
+        BenchConfig(operations=("mul", "modpow"), algorithms=("shift_add",))
+    assert str(err.value) == (
+        "operation 'modpow' compares vedic, restoring, nonrestoring; "
+        "the algorithm subset names none of them"
+    )
+    with pytest.raises(ValueError, match="'mul' compares vedic, shift_add;"):
+        BenchConfig(operations=("mul",), algorithms=("restoring",))
+    assert BenchConfig(algorithms=("vedic",)).operations == ("mul", "div")
+
+
 def test_record_arithmetic_and_rows():
     rec = BenchRecord("mul", "vedic", 16, 4, 4000, "ab", "pure")
     # derived, not stored: a record cannot carry a rate its totals disagree with

@@ -164,7 +164,8 @@ def test_usage_errors_exit_2(capsys):
     assert cli.main(["mul", "1", "2", "--base", "7"]) == 2
     assert cli.main(["bench", "--widths", "10"]) == 2
     assert cli.main(["bench", "--ops", "fft"]) == 2
-    capsys.readouterr()
+    assert cli.main(["bench", "--ops", "modpow", "--algos", "shift_add"]) == 2
+    assert "usage error: operation 'modpow' compares" in capsys.readouterr().err
 
 
 def test_selftest_reporting(capsys, monkeypatch):
