@@ -16,9 +16,11 @@
    dividend's own buffer, so no step moves digits.
 
    A plain CPython extension, written by hand against the C API (see
-   "Extending Python with C or C++" in the Python documentation).  Build
-   it in place with `python3 setup.py build_ext --inplace`.  Every buffer
-   comes from PyMem_*, so tracemalloc sees a leaked one. */
+   "Extending Python with C or C++" in the Python documentation).
+   `setup.py` builds it as an optional extension: a failed compile warns
+   and leaves the package on the pure twin.  Build it in place with
+   `python3 setup.py build_ext --inplace`.  Every buffer comes from
+   PyMem_*, so tracemalloc sees a leaked one. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -195,6 +197,11 @@ resolve_carries(u64 *out, Py_ssize_t ncols, u64 base)
     return ncols;
 }
 
+/* Column sums for every digit diagonal of x and y.  A square (y == x)
+   takes the duplex (Dwandwa-yoga) sums instead: column c sums each pair of
+   distinct digits once, doubled, plus x[c/2]**2 on even columns.  These
+   are the same column sums from about half the digit products, so they
+   keep the u64 bound above. */
 static Py_ssize_t
 vedic_product(const u64 *x, Py_ssize_t m, const u64 *y, Py_ssize_t n,
               u64 base, u64 *out)
@@ -205,32 +212,16 @@ vedic_product(const u64 *x, Py_ssize_t m, const u64 *y, Py_ssize_t n,
         xi = x[i];
         if (xi == 0)
             continue;
-        for (j = 0; j < n; j++)
+        j = 0;
+        if (y == x) {
+            out[2 * i] += xi * xi;
+            xi *= 2;
+            j = i + 1;
+        }
+        for (; j < n; j++)
             out[i + j] += xi * y[j];
     }
     return resolve_carries(out, m + n - 1, base);
-}
-
-/* The duplex (Dwandwa-yoga) square of x, for y == x: column c sums each
-   pair of distinct digits once, doubled, plus x[c/2]**2 on even columns.
-   These are the column sums of vedic_product, from about half the digit
-   products, so they keep its u64 bound. */
-static Py_ssize_t
-duplex_product(const u64 *x, Py_ssize_t m, const u64 *y, Py_ssize_t n,
-               u64 base, u64 *out)
-{
-    Py_ssize_t i, j;
-    u64 xi;
-    for (i = 0; i < m; i++) {
-        xi = x[i];
-        if (xi == 0)
-            continue;
-        out[2 * i] += xi * xi;
-        xi *= 2;
-        for (j = i + 1; j < m; j++)
-            out[i + j] += xi * x[j];
-    }
-    return resolve_carries(out, 2 * m - 1, base);
 }
 
 static Py_ssize_t
@@ -258,11 +249,10 @@ shift_add_product(const u64 *x, Py_ssize_t m, const u64 *y, Py_ssize_t n,
     return m + n;
 }
 
-/* square, when not NULL, takes the product when both arguments are the
-   same tuple object. */
+/* A square (xs is ys) converts its operand once and hands the product the
+   same buffer twice. */
 static PyObject *
-multiply(PyObject *args, const char *format, product_fn product,
-         product_fn square)
+multiply(PyObject *args, const char *format, product_fn product)
 {
     PyObject *xs, *ys, *result = NULL;
     u64 base, *x = NULL, *y = NULL, *out = NULL;
@@ -275,19 +265,19 @@ multiply(PyObject *args, const char *format, product_fn product,
     n = PyTuple_GET_SIZE(ys);
     if (m == 0 || n == 0)
         return PyTuple_New(0);
-    if (square != NULL && xs == ys)
-        product = square;
-    if ((x = from_tuple(xs, 0, base)) && (y = from_tuple(ys, 0, base))
+    if ((x = from_tuple(xs, 0, base))
+        && (y = ys == xs ? x : from_tuple(ys, 0, base))
         && (out = alloc_digits(m + n)))
         result = to_tuple(out, trim(out, product(x, m, y, n, base, out)));
+    if (y != x)
+        PyMem_Free(y);
     PyMem_Free(x);
-    PyMem_Free(y);
     PyMem_Free(out);
     return result;
 }
 
 PyDoc_STRVAR(mul_vedic_doc,
-"mul_vedic(xs, ys, base)\n--\n\n"
+"mul_vedic(xs, ys, base, /)\n--\n\n"
 "Cross-product multiplication: column sums for every digit diagonal,\n"
 "then a single left-to-right carry-resolution sweep.  A square (xs is ys)\n"
 "takes its column sums by the duplex rule: each pair of distinct digits\n"
@@ -296,22 +286,22 @@ PyDoc_STRVAR(mul_vedic_doc,
 static PyObject *
 mul_vedic(PyObject *self, PyObject *args)
 {
-    return multiply(args, "O!O!O&:mul_vedic", vedic_product, duplex_product);
+    return multiply(args, "O!O!O&:mul_vedic", vedic_product);
 }
 
 PyDoc_STRVAR(mul_shift_add_doc,
-"mul_shift_add(xs, ys, base)\n--\n\n"
+"mul_shift_add(xs, ys, base, /)\n--\n\n"
 "Row-wise schoolbook multiplication: one shifted digit-scaled addend\n"
 "per multiplier digit, accumulated as it goes.");
 
 static PyObject *
 mul_shift_add(PyObject *self, PyObject *args)
 {
-    return multiply(args, "O!O!O&:mul_shift_add", shift_add_product, NULL);
+    return multiply(args, "O!O!O&:mul_shift_add", shift_add_product);
 }
 
 PyDoc_STRVAR(div_straight_doc,
-"div_straight(xs, ys, base, want_trace=False)\n--\n\n"
+"div_straight(xs, ys, base, want_trace=False, /)\n--\n\n"
 "Straight (at-sight) division; see the pure twin for the full story.\n"
 "The partial is a window of len(ys) + 1 digits that slides down the\n"
 "scaled dividend; each step changes it by one borrow sweep of the row\n"
@@ -559,7 +549,7 @@ done:
 }
 
 PyDoc_STRVAR(div_restoring_doc,
-"div_restoring(xs, ys, base)\n--\n\n"
+"div_restoring(xs, ys, base, /)\n--\n\n"
 "Bit-serial restoring division on the operands' bits, with the results\n"
 "packed back into base.  The top len(y_bits) - 1 dividend bits, which\n"
 "could not subtract, are preloaded.\n"
@@ -573,7 +563,7 @@ div_restoring(PyObject *self, PyObject *args)
 }
 
 PyDoc_STRVAR(div_nonrestoring_doc,
-"div_nonrestoring(xs, ys, base)\n--\n\n"
+"div_nonrestoring(xs, ys, base, /)\n--\n\n"
 "Bit-serial non-restoring division on the operands' bits, with the\n"
 "results packed back into base.  The top len(y_bits) - 1 dividend bits,\n"
 "whose partials would be negative with quotient bit 0, are preloaded.\n"

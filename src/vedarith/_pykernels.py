@@ -10,9 +10,9 @@ The carry pass `_carry`, the borrow sweep `_window_sub` and short division
 
 A square (`mul_vedic(xs, xs)`) takes the duplex column sums.
 
-Every kernel takes `(xs, ys, base)`; the bit dividers convert to bits and
-back inside (`_bits_of`/`_digits_of`, the package's one base-2
-conversion).  All three dividers keep the partial remainder in a
+Every kernel takes `(xs, ys, base)`, by position only; the bit dividers
+convert to bits and back inside (`_bits_of`/`_digits_of`, the package's
+one base-2 conversion).  All three dividers keep the partial remainder in a
 fixed-width big-endian window and change it only by `_window_sub`, one
 borrow sweep of a row padded to the window's width: M+1 digits and the
 rows divisor*q for straight division, len(y)+2 bits in two's complement
@@ -84,7 +84,7 @@ def _scale(digits: list, factor: int, base: int) -> list:
     return _carry([d * factor for d in digits], base) if factor else []
 
 
-def mul_vedic(xs: tuple, ys: tuple, base: int) -> tuple:
+def mul_vedic(xs: tuple, ys: tuple, base: int, /) -> tuple:
     """Cross-product multiplication: column sums for every digit diagonal,
     then a single left-to-right carry-resolution sweep.  A square (`xs is
     ys`) takes the duplex sums: each distinct digit pair once, doubled."""
@@ -106,7 +106,7 @@ def mul_vedic(xs: tuple, ys: tuple, base: int) -> tuple:
     return tuple(_carry(cols, base))
 
 
-def mul_shift_add(xs: tuple, ys: tuple, base: int) -> tuple:
+def mul_shift_add(xs: tuple, ys: tuple, base: int, /) -> tuple:
     """Row-wise schoolbook multiplication: one shifted digit-scaled addend
     per multiplier digit, accumulated as it goes."""
     if not xs or not ys:
@@ -156,7 +156,7 @@ class _Divisor(dict):
 _divisor = lru_cache(maxsize=1)(_Divisor)
 
 
-def div_straight(xs: tuple, ys: tuple, base: int, want_trace: bool = False):
+def div_straight(xs: tuple, ys: tuple, base: int, want_trace: bool = False, /):
     """Straight (at-sight) division by the divisor's leading digit.
 
     The divisor is normalized by a single-digit scale so its leading digit
@@ -300,7 +300,7 @@ def _bit_divide(xs: tuple, ys: tuple, base: int, restoring: bool):
     return _digits_of(Q, base), _digits_of(W[::-1], base), n
 
 
-def div_restoring(xs: tuple, ys: tuple, base: int):
+def div_restoring(xs: tuple, ys: tuple, base: int, /):
     """Bit-serial restoring division: shift in one dividend bit, compare
     the partial with the divisor, subtract it only when the partial is not
     below it.  The partial is a fixed window of len(y_bits) + 2 bits that
@@ -312,7 +312,7 @@ def div_restoring(xs: tuple, ys: tuple, base: int):
     return _bit_divide(xs, ys, base, True)
 
 
-def div_nonrestoring(xs: tuple, ys: tuple, base: int):
+def div_nonrestoring(xs: tuple, ys: tuple, base: int, /):
     """Bit-serial non-restoring division: shift in one dividend bit, then
     subtract the divisor when the previous partial is non-negative, else
     add it, with no intermediate restore; the quotient bit is the inverted

@@ -36,7 +36,7 @@ def _fold(checksum: int, digits) -> int:
 
 
 def _hex(rng: Lcg64, bits: int) -> numeral.Natural:
-    return rng.natural_with_bits(bits, Base.HEX)
+    return numeral.from_int(rng.bits(bits) | 1 << (bits - 1), Base.HEX)
 
 
 def _odd(rng: Lcg64, bits: int) -> numeral.Natural:

@@ -9,8 +9,6 @@ functions of their seeds, never of OS entropy.
 
 from __future__ import annotations
 
-from .numeral import Base, Natural
-
 _A = 6364136223846793005
 _C = 1442695040888963407
 _MASK = (1 << 64) - 1
@@ -42,15 +40,6 @@ class Lcg64:
             v = self.bits(nbits)
             if v < bound:
                 return v
-
-    def natural_with_bits(self, nbits: int, base: Base) -> Natural:
-        """Random value of exactly nbits bits (top bit set) in the given base."""
-        from . import numeral
-
-        if nbits <= 0:
-            raise ValueError("bit width must be positive")
-        v = self.bits(nbits) | (1 << (nbits - 1))
-        return numeral.from_int(v, base)
 
 
 def derive_seed(seed: int, label: str) -> int:

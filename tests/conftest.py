@@ -90,6 +90,14 @@ def build_ckernels(cc: str, directory: Path, flags: list[str]) -> Path:
     return target
 
 
+def load_ckernels(target: Path):
+    """A built compiled twin, loaded as a bare module from its path."""
+    spec = importlib.util.spec_from_file_location("vedarith._ckernels", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture(scope="session")
 def compiled(tmp_path_factory):
     """The compiled twin, always built from the shipped `_ckernels.c` into
@@ -103,7 +111,4 @@ def compiled(tmp_path_factory):
     target = build_ckernels(
         c_compiler(), tmp_path_factory.mktemp("ckernels"), ["-O2", *strict]
     )
-    spec = importlib.util.spec_from_file_location("vedarith._ckernels", target)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_ckernels(target)

@@ -81,6 +81,7 @@ def run(c, rounds, seed=0x5A17):
         for name in ("mul_vedic", "mul_shift_add"):
             raises(ValueError, getattr(c, name), bad, (1,), base)
             raises(ValueError, getattr(c, name), (1,), bad, base)
+            raises(ValueError, getattr(c, name), bad, bad, base)  # a square
             raises(OverflowError, getattr(c, name), (1,), (1, -1), base)
             raises(ValueError, getattr(c, name), (1,), (1,), (0, 1, 65537)[r % 3])
             raises(TypeError, getattr(c, name), list(xs), ys, base)

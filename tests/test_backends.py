@@ -2,16 +2,23 @@
 bit for bit, and the dispatcher must honor explicit selection."""
 
 import inspect
+import os
 import subprocess
 import sys
+import sysconfig
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from conftest import build_ckernels, c_compiler, package_env
+from conftest import build_ckernels, c_compiler, load_ckernels, package_env
 from vedarith import _pykernels, backend, modexp
 from vedarith.randgen import Lcg64
+
+
+KERNELS = sorted(
+    {a.kernel for a in (*modexp.MULTIPLIERS.values(), *modexp.DIVIDERS.values())}
+)
 
 
 def to_int(digits, base):
@@ -126,11 +133,19 @@ def test_twins_share_every_kernel_signature(compiled):
     # of its docstrings, so a drifted docstring fails here too
     def shape(kernel):
         params = inspect.signature(kernel).parameters.values()
-        return [(p.name, p.default) for p in params]
+        return [(p.name, p.default, p.kind) for p in params]
 
-    algorithms = (*modexp.MULTIPLIERS.values(), *modexp.DIVIDERS.values())
-    for name in sorted({a.kernel for a in algorithms}):
+    for name in KERNELS:
         assert shape(getattr(_pykernels, name)) == shape(getattr(compiled, name)), name
+
+
+def test_twins_take_kernel_arguments_by_position_only(compiled):
+    for kernels in (_pykernels, compiled):
+        for name in KERNELS:
+            with pytest.raises(TypeError):
+                getattr(kernels, name)((5,), (3,), base=10)
+        with pytest.raises(TypeError):
+            kernels.div_straight((5,), (3,), 10, want_trace=True)
 
 
 def test_bit_kernels_agree(compiled):
@@ -220,6 +235,7 @@ def test_compiled_kernels_do_not_leak(compiled):
             (compiled.div_restoring, (bits, (1, 2), 2), ValueError),
             (compiled.div_nonrestoring, (xs, ys, 1), ValueError),
             (compiled.mul_vedic, (xs, (3, -2), 10), OverflowError),
+            (compiled.mul_vedic, (ys, ys, 3), ValueError),  # a square, digit 3
             (compiled.mul_shift_add, (xs, (3, -2), 10), OverflowError),
             (compiled.div_straight, ((7, -1), ys, 10, True), OverflowError),
             (compiled.div_nonrestoring, (bits, (1, -1), 2), OverflowError),
@@ -274,6 +290,32 @@ def test_compiled_kernels_pass_the_sanitizers(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "3000 rounds clean\n"
+
+
+def test_setup_builds_the_twin_or_warns_and_goes_on(tmp_path):
+    # out of tree, never in place, so the default backend of later tests
+    # stays as it was
+    root = Path(_pykernels.__file__).parents[2]
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+
+    def build(out: Path, cc: str):
+        command = [sys.executable, "setup.py", "build_ext"]
+        command += ["--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp")]
+        env = dict(os.environ, CC=cc)
+        return subprocess.run(command, cwd=root, env=env, capture_output=True, text=True)
+
+    done = build(tmp_path / "built", c_compiler())
+    assert done.returncode == 0, done.stderr
+    built = load_ckernels(tmp_path / "built/lib/vedarith" / ("_ckernels" + suffix))
+    assert built.NAME == "compiled"
+    xs, ys = (7, 1, 9, 2, 4, 8, 3), (3, 2)
+    assert built.mul_vedic(xs, ys, 10) == _pykernels.mul_vedic(xs, ys, 10)
+    # a compiler that fails: setuptools warns, and the build succeeds without
+    # the extension, so an install falls back to the pure twin
+    failed = build(tmp_path / "failed", "false")
+    assert failed.returncode == 0, failed.stderr
+    assert 'building extension "vedarith._ckernels" failed' in failed.stderr
+    assert not list((tmp_path / "failed").rglob("*" + suffix))
 
 
 def test_compiled_kernels_reject_out_of_range_input(compiled):
