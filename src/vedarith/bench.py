@@ -20,19 +20,11 @@ import time
 from . import backend, modexp, numeral, rsa
 from .modexp import Strategy
 from .numeral import Base, Record
-from .randgen import Lcg64, derive_seed
+from .randgen import Lcg64, derive_seed, fnv_fold
 
 CSV_HEADER = "operation,algorithm,bits,iterations,total_ns,ns_per_op,operand_checksum"
 
 _FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK = (1 << 64) - 1
-
-
-def _fold(checksum: int, digits) -> int:
-    for d in digits:
-        checksum = ((checksum ^ d) * _FNV_PRIME) & _MASK
-    return checksum
 
 
 def _hex(rng: Lcg64, bits: int) -> numeral.Natural:
@@ -153,7 +145,7 @@ def _operands(operation: str, width: int, config: BenchConfig):
     for _ in range(config.iterations):
         args, folded = draw(rng, width)
         for x in folded:
-            checksum = _fold(checksum, x.digits)
+            checksum = fnv_fold(checksum, x.digits)
         stream.append(args)
     return stream, "%016x" % checksum
 
@@ -176,7 +168,7 @@ def _time_cell(run, operands, iterations: int) -> tuple[int, int]:
             gc.enable()
     sink = _FNV_OFFSET
     for digits in results:
-        sink = _fold(sink, digits)
+        sink = fnv_fold(sink, digits)
     return total, sink
 
 
@@ -217,7 +209,7 @@ def run_suite(config: BenchConfig) -> tuple[list[BenchRecord], str]:
                     records.append(BenchRecord(operation, algorithm, width,
                                                config.iterations, total,
                                                checksum, name))
-            sink = _fold(sink, (expected,))
+            sink = fnv_fold(sink, (expected,))
     return records, "%016x" % sink
 
 

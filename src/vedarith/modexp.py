@@ -7,7 +7,8 @@ same exponentiation can be timed against each arithmetic backend.  Results
 are identical for every combination.
 
 A modular product works on the operands' digit tuples: one kernel
-multiply, then one kernel division whose quotient is dropped.
+multiply, then one kernel division of the product whose quotient is
+dropped; the operands themselves are never reduced.
 """
 
 from __future__ import annotations
@@ -85,19 +86,18 @@ def mod_reduce(a: Natural, n: Natural, strategy: Strategy = DEFAULT_STRATEGY) ->
 def mod_mul(
     a: Natural, b: Natural, n: Natural, strategy: Strategy = DEFAULT_STRATEGY
 ) -> Natural:
-    """(a * b) mod n via the strategy's multiplier then divider: an operand
-    is reduced only when it is not below n, then one kernel product and one
-    reduction.  `mod_mul(a, a, n)` hands the multiplier one tuple, so the
-    cross-product multiplier squares by its duplex path."""
+    """(a * b) mod n via the strategy's multiplier then divider: one kernel
+    product and one reduction of it.  The operands are not reduced first,
+    since (a * b) mod n = ((a mod n) * (b mod n)) mod n and every caller's
+    operands are already below n.  `mod_mul(a, a, n)` hands the multiplier
+    one tuple, so the cross-product multiplier squares by its duplex path."""
     numeral.same_base(a, n)
     numeral.same_base(b, n)
-    ns, base = n.digits, int(n.base)
-    divider = DIVIDERS[strategy.divider]
-    xs = _reduce(a.digits, ns, base, divider)
-    ys = xs if b is a else _reduce(b.digits, ns, base, divider)
+    base = int(n.base)
     multiply = getattr(backend.kernels(), MULTIPLIERS[strategy.multiplier].kernel)
-    product = _reduce(multiply(xs, ys, base), ns, base, divider)
-    return numeral._from_canonical(product, n.base)
+    product = multiply(a.digits, b.digits, base)
+    rs = _reduce(product, n.digits, base, DIVIDERS[strategy.divider])
+    return numeral._from_canonical(rs, n.base)
 
 
 def mod_pow(

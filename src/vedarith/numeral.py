@@ -32,7 +32,7 @@ class UnderflowError(ArithmeticError):
 
 
 class Base(enum.IntEnum):
-    """Supported radixes.  Power-of-two bases map to fixed digit widths."""
+    """Supported radixes."""
 
     BIN = 2
     QUAT = 4
@@ -40,12 +40,6 @@ class Base(enum.IntEnum):
     HEX = 16
     BYTE = 256
 
-    @property
-    def digit_bits(self) -> int:
-        """Bits per digit (1/2/4/8); undefined for base 10."""
-        if self is Base.DEC:
-            raise ValueError("base 10 digits have no fixed bit width")
-        return int(self).bit_length() - 1
 
 # Base 16 is the default: one digit per 4-bit group.
 DEFAULT_BASE = Base.HEX
@@ -123,14 +117,6 @@ class Natural(Record):
                 raise ValueError(f"digit {d} out of range for base {int(base)}")
         object.__setattr__(self, "digits", digits)
         object.__setattr__(self, "base", base)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.digits, self.base) == (other.digits, other.base)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.digits, self.base))
 
     def is_zero(self) -> bool:
         return not self.digits

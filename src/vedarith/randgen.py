@@ -4,7 +4,8 @@ state' = (6364136223846793005 * state + 1442695040888963407) mod 2**64
 (Knuth's MMIX constants).  Only the high 32 bits of each state are used,
 since the low bits of an LCG are weak.  This is the only random source in
 the package: key generation and benchmark operand streams are exact
-functions of their seeds, never of OS entropy.
+functions of their seeds, never of OS entropy.  Subseeds and the bench's
+checksums come from one 64-bit FNV-1a fold.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 _A = 6364136223846793005
 _C = 1442695040888963407
 _MASK = (1 << 64) - 1
+_FNV_PRIME = 0x100000001B3
 
 
 class Lcg64:
@@ -42,10 +44,14 @@ class Lcg64:
                 return v
 
 
+def fnv_fold(h: int, values) -> int:
+    """The 64-bit FNV-1a hash state h with each of `values` folded in."""
+    for v in values:
+        h = ((h ^ v) * _FNV_PRIME) & _MASK
+    return h
+
+
 def derive_seed(seed: int, label: str) -> int:
     """Deterministic per-label subseed (used to keep benchmark operand
     streams independent across operations and widths)."""
-    h = seed & _MASK
-    for ch in label:
-        h = ((h ^ ord(ch)) * 0x100000001B3) & _MASK
-    return h
+    return fnv_fold(seed & _MASK, map(ord, label))

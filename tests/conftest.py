@@ -7,6 +7,7 @@ import importlib.util
 import os
 import shutil
 import subprocess
+import sys
 import sysconfig
 from pathlib import Path
 
@@ -78,15 +79,30 @@ def c_compiler() -> str:
     return cc
 
 
-def build_ckernels(cc: str, directory: Path, flags: list[str]) -> Path:
-    """Build the shipped `_ckernels.c` into `directory` with `flags`; returns
-    the path of the extension module."""
-    source = Path(_pykernels.__file__).with_name("_ckernels.c")
-    target = directory / ("_ckernels" + sysconfig.get_config_var("EXT_SUFFIX"))
-    paths = sysconfig.get_paths()
-    includes = sorted({f"-I{paths['include']}", f"-I{paths['platinclude']}"})
-    command = [cc, *flags, "-shared", "-fPIC", *includes, str(source)]
-    subprocess.run([*command, "-o", str(target)], check=True)
+def setup_build_ext(directory: Path, cc: str, cflags: list[str]):
+    """Run `setup.py build_ext` from the checkout's root with compiler `cc`
+    and `cflags` added to the install's own; out of tree, never in place,
+    so the default backend of later tests stays as it was.  Returns the
+    finished process and the path of the extension module it would build."""
+    root = Path(_pykernels.__file__).parents[2]
+    command = [sys.executable, "setup.py", "build_ext"]
+    command += ["--build-lib", str(directory), "--build-temp", str(directory / "tmp")]
+    env = dict(os.environ, CC=cc, CFLAGS=" ".join(cflags))
+    done = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True)
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    return done, directory / "vedarith" / ("_ckernels" + suffix)
+
+
+def build_ckernels(directory: Path, cflags: list[str]) -> Path:
+    """Build the shipped `_ckernels.c` as an install does, through
+    `setup.py build_ext`, into `directory`; returns the path of the
+    extension module.  The extension is optional, so a failed compile
+    exits 0 with only a warning: a non-zero exit or a missing module fails
+    the calling test, never skips it, and shows setuptools' stderr."""
+    done, target = setup_build_ext(directory, c_compiler(), cflags)
+    if done.returncode != 0 or not target.exists():
+        message = f"setup.py build_ext built no {target.name}:\n{done.stderr}"
+        pytest.fail(message, pytrace=False)
     return target
 
 
@@ -100,15 +116,15 @@ def load_ckernels(target: Path):
 
 @pytest.fixture(scope="session")
 def compiled(tmp_path_factory):
-    """The compiled twin, always built from the shipped `_ckernels.c` into
-    a temporary directory, where any compiler warning (-Wall -Wextra, bar
-    unused parameters) fails the build; an installed build is not used, so
-    an edited source is always the one checked.  The build is loaded as a
-    bare module and not registered as a backend, so the default backend
-    does not change; a test that needs it as a backend registers it for
-    itself."""
+    """The compiled twin, built from the shipped `_ckernels.c` through
+    `setup.py build_ext` with the install's own flags plus -Wall -Wextra
+    -Werror (bar unused parameters), so any compiler warning fails every
+    test that uses it; an installed build is not used, so an edited source
+    is always the one checked.  The build goes to a temporary directory and
+    is loaded as a bare module, not registered as a backend, so the default
+    backend does not change; a test that needs it as a backend registers it
+    for itself."""
     strict = ["-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror"]
-    target = build_ckernels(
-        c_compiler(), tmp_path_factory.mktemp("ckernels"), ["-O2", *strict]
-    )
-    return load_ckernels(target)
+    module = load_ckernels(build_ckernels(tmp_path_factory.mktemp("ckernels"), strict))
+    assert module.NAME == "compiled"
+    return module

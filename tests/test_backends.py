@@ -2,16 +2,14 @@
 bit for bit, and the dispatcher must honor explicit selection."""
 
 import inspect
-import os
 import subprocess
 import sys
-import sysconfig
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from conftest import build_ckernels, c_compiler, load_ckernels, package_env
+from conftest import build_ckernels, c_compiler, package_env, setup_build_ext
 from vedarith import _pykernels, backend, modexp
 from vedarith.randgen import Lcg64
 
@@ -274,7 +272,7 @@ def test_compiled_kernels_pass_the_sanitizers(tmp_path):
     # preloaded, and PYTHONMALLOC=malloc puts its objects on the checked heap
     cc = c_compiler()
     flags = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
-    target = build_ckernels(cc, tmp_path, flags)
+    target = build_ckernels(tmp_path, flags)
     libasan = subprocess.run(
         [cc, "-print-file-name=libasan.so"], capture_output=True, text=True, check=True
     ).stdout.strip()
@@ -292,30 +290,14 @@ def test_compiled_kernels_pass_the_sanitizers(tmp_path):
     assert done.stdout == "3000 rounds clean\n"
 
 
-def test_setup_builds_the_twin_or_warns_and_goes_on(tmp_path):
-    # out of tree, never in place, so the default backend of later tests
-    # stays as it was
-    root = Path(_pykernels.__file__).parents[2]
-    suffix = sysconfig.get_config_var("EXT_SUFFIX")
-
-    def build(out: Path, cc: str):
-        command = [sys.executable, "setup.py", "build_ext"]
-        command += ["--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp")]
-        env = dict(os.environ, CC=cc)
-        return subprocess.run(command, cwd=root, env=env, capture_output=True, text=True)
-
-    done = build(tmp_path / "built", c_compiler())
+def test_setup_warns_and_goes_on_when_the_compile_fails(tmp_path):
+    # setuptools warns, and the build succeeds without the extension, so an
+    # install falls back to the pure twin; a build that succeeds is the one
+    # every test using the `compiled` fixture loads
+    done, target = setup_build_ext(tmp_path, "false", [])
     assert done.returncode == 0, done.stderr
-    built = load_ckernels(tmp_path / "built/lib/vedarith" / ("_ckernels" + suffix))
-    assert built.NAME == "compiled"
-    xs, ys = (7, 1, 9, 2, 4, 8, 3), (3, 2)
-    assert built.mul_vedic(xs, ys, 10) == _pykernels.mul_vedic(xs, ys, 10)
-    # a compiler that fails: setuptools warns, and the build succeeds without
-    # the extension, so an install falls back to the pure twin
-    failed = build(tmp_path / "failed", "false")
-    assert failed.returncode == 0, failed.stderr
-    assert 'building extension "vedarith._ckernels" failed' in failed.stderr
-    assert not list((tmp_path / "failed").rglob("*" + suffix))
+    assert 'building extension "vedarith._ckernels" failed' in done.stderr
+    assert not list(tmp_path.rglob(target.name))
 
 
 def test_compiled_kernels_reject_out_of_range_input(compiled):

@@ -186,15 +186,6 @@ def test_base_mismatch_rejected():
             op(a, b)
 
 
-def test_digit_bits():
-    assert Base.BIN.digit_bits == 1
-    assert Base.QUAT.digit_bits == 2
-    assert Base.HEX.digit_bits == 4
-    assert Base.BYTE.digit_bits == 8
-    with pytest.raises(ValueError):
-        Base.DEC.digit_bits
-
-
 def test_unsupported_base_rejected():
     with pytest.raises(ValueError):
         Base(7)
