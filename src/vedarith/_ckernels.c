@@ -168,6 +168,21 @@ scale_into(const u64 *src, Py_ssize_t n, u64 factor, u64 base, u64 *dst)
     dst[n] = carry;
 }
 
+/* a //= divisor in place, top digit first; returns the remainder.  The
+   divisor, the base and each digit are at most 2**16, so every partial
+   r * base + a[i] stays below 2**32. */
+static u64
+short_divide(u64 *a, Py_ssize_t n, u64 divisor, u64 base)
+{
+    u64 r = 0, t;
+    while (n-- > 0) {
+        t = r * base + a[n];
+        a[n] = t / divisor;
+        r = t % divisor;
+    }
+    return r;
+}
+
 /* --- kernels ------------------------------------------------------------- */
 
 /* The multipliers share everything but their digit loop, which writes the
@@ -312,8 +327,8 @@ div_straight(PyObject *self, PyObject *args)
 {
     PyObject *xs, *ys, *trace = NULL, *row, *result = NULL;
     u64 base, *X = NULL, *dy = NULL, *SUB = NULL, *Q = NULL, *R;
-    u64 scale, main, K, qhat, q_est, carry, cur;
-    Py_ssize_t M, L, k, i;
+    u64 scale, main, K, qhat, q_est;
+    Py_ssize_t M, L, k;
     int want_trace = 0, adj, max_adjust = 0, rc;
 
     if (!PyArg_ParseTuple(args, "O!O!O&|p:div_straight", &PyTuple_Type, &xs,
@@ -378,19 +393,11 @@ div_straight(PyObject *self, PyObject *args)
                 goto done;
         }
     }
-    if (scale != 1) {
-        /* de-scale the remainder; exact by construction */
-        carry = 0;
-        for (i = M; i >= 0; i--) {
-            cur = carry * base + X[i];
-            X[i] = cur / scale;
-            carry = cur % scale;
-        }
-        if (carry != 0) {
-            PyErr_SetString(PyExc_AssertionError,
-                            "scaled remainder must divide exactly");
-            goto done;
-        }
+    /* de-scale the remainder; exact by construction */
+    if (scale != 1 && short_divide(X, M + 1, scale, base) != 0) {
+        PyErr_SetString(PyExc_AssertionError,
+                        "scaled remainder must divide exactly");
+        goto done;
     }
     result = Py_BuildValue("(NNiO)", to_tuple(Q, trim(Q, L - M + 1)),
                            to_tuple(X, trim(X, M + 1)), max_adjust,
@@ -419,14 +426,14 @@ digit_width(u64 base)
 /* The little-endian bits of the n digits in a, each below base, in a fresh
    buffer with `spare` zeroed slots after them, or NULL with MemoryError
    set; *nbits gets their trimmed count.  A power-of-two base expands by
-   shift and mask; any other by digit-serial halving of a in place, top
-   digit first, each remainder the next bit, until a is zero. */
+   shift and mask; any other as `_bits_of` does: 16 bits per short division
+   of a by 2**16 in place, the last pass up to 15 zeros past the value. */
 static u64 *
 to_bits(u64 *a, Py_ssize_t n, u64 base, Py_ssize_t spare, Py_ssize_t *nbits)
 {
     int j, w = digit_width(base);
     Py_ssize_t i, k = 0;
-    u64 r, t, *bits = alloc_digits(n * w + spare);
+    u64 r, *bits = alloc_digits(n * w + 15 + spare);
 
     if (bits == NULL)
         return NULL;
@@ -437,12 +444,9 @@ to_bits(u64 *a, Py_ssize_t n, u64 base, Py_ssize_t spare, Py_ssize_t *nbits)
     }
     else {
         while ((n = trim(a, n)) > 0) {
-            for (r = 0, i = n - 1; i >= 0; i--) {
-                t = r * base + a[i];
-                a[i] = t >> 1;
-                r = t & 1;
-            }
-            bits[k++] = r;
+            r = short_divide(a, n, (u64)1 << 16, base);
+            for (j = 0; j < 16; j++)
+                bits[k++] = r >> j & 1;
         }
     }
     *nbits = trim(bits, k);
@@ -451,13 +455,15 @@ to_bits(u64 *a, Py_ssize_t n, u64 base, Py_ssize_t spare, Py_ssize_t *nbits)
 
 /* The canonical digits in base of the n little-endian bits in b, as a
    tuple, or NULL with an error set.  A power-of-two base packs them by
-   shift; any other by digit-serial doubling, top bit first. */
+   shift; any other as `_digits_of` does, 16 bits per pass, top first:
+   shift each digit by 16 (below 2**32), add the bits, resolve carries,
+   which n + 1 slots hold. */
 static PyObject *
 from_bits(const u64 *b, Py_ssize_t n, u64 base)
 {
     int j, w = digit_width(base);
     Py_ssize_t i, k, m = 0;
-    u64 carry, t, *d = alloc_digits(n);
+    u64 *d = alloc_digits(n + 1);
     PyObject *out;
 
     if (d == NULL)
@@ -468,15 +474,12 @@ from_bits(const u64 *b, Py_ssize_t n, u64 base)
                 d[m] |= b[i + j] << j;
     }
     else {
-        for (i = n - 1; i >= 0; i--) {
-            carry = b[i];
-            for (k = 0; k < m; k++) {
-                t = 2 * d[k] + carry;
-                carry = t >= base;
-                d[k] = t - (base & -carry);
-            }
-            if (carry)
-                d[m++] = carry;
+        for (i = (n - 1) / 16 * 16; i >= 0; i -= 16) {
+            for (k = 0; k < m; k++)
+                d[k] <<= 16;
+            for (j = 0; j < 16 && i + j < n; j++)
+                d[0] += b[i + j] << j;
+            m = resolve_carries(d, m > 1 ? m : 1, base);
         }
     }
     out = to_tuple(d, trim(d, m));

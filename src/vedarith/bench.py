@@ -32,7 +32,7 @@ def _hex(rng: Lcg64, bits: int) -> numeral.Natural:
 
 
 def _odd(rng: Lcg64, bits: int) -> numeral.Natural:
-    return numeral.from_int(numeral.to_int(_hex(rng, bits)) | 1, Base.HEX)
+    return numeral.from_int(rng.bits(bits) | 1 << (bits - 1) | 1, Base.HEX)
 
 
 def _draw_mul(rng: Lcg64, width: int):

@@ -4,7 +4,8 @@
 
 Loads the given build of `_ckernels.c` and runs all five kernels against
 the pure twin, traced and not, on the same random and edge shapes in
-bases 2 to 65536, then drives every error path.  A mismatch raises; under
+bases 2 to 65536, with a long pair in base 3 or 10 every LONG_EVERY
+rounds, then drives every error path.  A mismatch raises; under
 AddressSanitizer and UndefinedBehaviorSanitizer an out-of-bounds access
 aborts the process with a report on stderr.
 """
@@ -16,6 +17,7 @@ from vedarith import _pykernels
 from vedarith.randgen import Lcg64
 
 BASES = (2, 3, 4, 10, 16, 256, 65535, 65536)
+LONG_EVERY = 100  # rounds per long operand pair in a base not a power of two
 
 
 def load(path):
@@ -44,6 +46,11 @@ def shape(rng, maxlen, base):
     return tuple(out)
 
 
+def long_digits(rng, n, base):
+    """n random digits, the top one not zero."""
+    return (*(rng.below(base) for _ in range(n - 1)), rng.below(base - 1) + 1)
+
+
 def agree(c, name, *args):
     got = getattr(c, name)(*args)
     want = getattr(_pykernels, name)(*args)
@@ -62,8 +69,12 @@ def raises(error, kernel, *args):
 def run(c, rounds, seed=0x5A17):
     rng = Lcg64(seed)
     for r in range(rounds):
-        base = BASES[r % len(BASES)] if r % 3 else rng.below(65535) + 2
-        xs, ys = shape(rng, 24, base), shape(rng, 12, base)
+        if r % LONG_EVERY:
+            base = BASES[r % len(BASES)] if r % 3 else rng.below(65535) + 2
+            xs, ys = shape(rng, 24, base), shape(rng, 12, base)
+        else:  # many sixteen-bit passes each way in the base-2 conversion
+            base = (3, 10)[r // LONG_EVERY % 2]
+            xs, ys = long_digits(rng, 200, base), long_digits(rng, 100, base)
         agree(c, "mul_vedic", xs, ys, base)
         agree(c, "mul_vedic", xs, xs, base)  # the duplex square
         agree(c, "mul_shift_add", xs, ys, base)

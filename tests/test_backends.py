@@ -147,8 +147,9 @@ def test_twins_take_kernel_arguments_by_position_only(compiled):
 
 
 def test_bit_kernels_agree(compiled):
-    # powers of two expand by shift and mask in C, any other base by
-    # halving; 96 bits of dividend and 64 of divisor at most in every base
+    # powers of two expand by shift and mask in C, any other base sixteen
+    # bits per short division by 2**16, as in the pure twin; 96 bits of
+    # dividend and 64 of divisor at most in every base
     rng = Lcg64(0xF00D)
     for base in (2, 3, 10, 16, 256, 65535, 65536):
         width = (base - 1).bit_length()
@@ -158,6 +159,19 @@ def test_bit_kernels_agree(compiled):
             for name in ("div_restoring", "div_nonrestoring"):
                 got = getattr(compiled, name)(xs, ys, base)
                 assert got == getattr(_pykernels, name)(xs, ys, base), (name, base)
+    # either side of the sixteen-bit passes of a base that is not a power of
+    # two: values of exactly 15, 16, 17, 32 and 33 bits, 2**(16k) - 1 and
+    # 2**(16k), and dividends of over 1024 bits
+    edges = [v for b in (15, 16, 17, 32, 33) for v in (1 << (b - 1), (1 << b) - 1)]
+    edges += [(1 << 48) - 1, 1 << 48]
+    for base in (3, 10, 65535):
+        for x in (*edges, 1 << 1024, (1 << 1040) - 1):
+            for y in edges:
+                xs, ys = to_digits(x, base), to_digits(y, base)
+                for name in ("div_restoring", "div_nonrestoring"):
+                    got = getattr(compiled, name)(xs, ys, base)
+                    assert got == getattr(_pykernels, name)(xs, ys, base), (name, x, y)
+                    assert (to_int(got[0], base), to_int(got[1], base)) == divmod(x, y)
 
 
 def test_kernels_agree_on_edge_shapes(compiled):
@@ -211,6 +225,7 @@ def test_kernels_agree_on_edge_shapes(compiled):
 def test_compiled_kernels_do_not_leak(compiled):
     xs, ys = (7, 1, 9, 2, 4, 8, 3), (3, 2)  # ys is scaled in base 10
     bits, ybits = (1, 0, 1, 1, 0, 1, 1, 1), (1, 0, 1)
+    long_xs, long_ys = to_digits(3**650, 10), to_digits(7**360, 10)  # 1031, 1011 bits
 
     def calls():
         compiled.mul_vedic(xs, ys, 10)
@@ -223,8 +238,10 @@ def test_compiled_kernels_do_not_leak(compiled):
         compiled.div_nonrestoring(bits, ybits, 2)
         compiled.div_nonrestoring(ybits, bits, 2)  # dividend shorter: no step
         compiled.div_nonrestoring((0, 1, 0, 1), ybits, 2)  # 2y: the final add-back
-        compiled.div_restoring(xs, ys, 10)  # halving and doubling
+        compiled.div_restoring(xs, ys, 10)  # one sixteen-bit pass each way
         compiled.div_nonrestoring(xs, ys, 10)
+        compiled.div_restoring(long_xs, long_ys, 10)  # many passes
+        compiled.div_nonrestoring(long_xs, long_ys, 10)
         compiled.div_restoring((7, 1, 9, 2), (3, 2), 256)  # shift and mask
         compiled.div_nonrestoring((7, 1, 9, 2), (3, 2), 256)
         for kernel, args, error in (

@@ -1,8 +1,9 @@
 import math
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from conftest import nat, val
+from conftest import ALL_BASES, nat, val
 from vedarith import modexp, numeral, rsa
 from vedarith.numeral import Base
 from vedarith.randgen import Lcg64
@@ -296,6 +297,20 @@ def test_key_file_roundtrip(tmp_path, toy_keypair):
     assert rsa.load_key(pub_path) == toy_keypair.public
     assert rsa.load_key(priv_path) == toy_keypair.private
     assert isinstance(rsa.load_key(priv_path), rsa.RsaPrivateKey)
+
+
+@given(
+    st.integers(min_value=2, max_value=1 << 300),
+    st.integers(min_value=0, max_value=1 << 300),
+    st.sampled_from(ALL_BASES),
+    st.sampled_from((rsa.RsaPublicKey, rsa.RsaPrivateKey)),
+)
+@example(0xABC, 0x1, Base.BYTE, rsa.RsaPrivateKey)  # an odd number of hex characters
+def test_key_files_round_trip_in_every_base(tmp_path_factory, n, e, base, kind):
+    key = kind(nat(n, base), nat(e, base))
+    path = tmp_path_factory.getbasetemp() / "round-trip.key"
+    rsa.save_key(path, key)
+    assert rsa.load_key(path) == key
 
 
 def test_key_file_rejects_unknown_and_missing_lines(tmp_path):
