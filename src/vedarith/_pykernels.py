@@ -5,10 +5,11 @@ holds (no trailing most-significant zeros; zero is `()`).  `_ckernels` is the
 compiled twin: same functions, same digit-level algorithms, bit-identical
 results.  Everything here is deliberately digit-serial; no function ever
 falls back to machine-word multiplication or division of whole operands.
-The carry pass `_carry`, the borrow sweep `_window_sub` and short division
-`_short_divide` are written once, here; `numeral`'s add and sub use them,
-and `_ckernels` has one C twin of each (`resolve_carries`, `window_sub`,
-`short_divide`).
+The trailing-zero trim `_trim`, the carry pass `_carry`, the borrow sweep
+`_window_sub` and short division `_short_divide` are written once, here;
+`Natural`'s constructor trims with `_trim`, `numeral`'s add and sub use the
+others, and `_ckernels` has one C twin of each of the last three
+(`resolve_carries`, `window_sub`, `short_divide`).
 
 A square (`mul_vedic(xs, xs)`) takes the duplex column sums.
 

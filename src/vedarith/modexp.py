@@ -17,15 +17,12 @@ from . import backend, baseline_arith, numeral, vedic_div, vedic_mul
 from .numeral import Natural, Record
 
 
-class Algorithm:
+class Algorithm(Record):
     """One registered algorithm: its public function on Naturals (`run`),
     and the name of the kernel that does its work on digit tuples; every
     kernel takes `(xs, ys, base)`."""
 
     __slots__ = ("run", "kernel")
-
-    def __init__(self, run, kernel: str):
-        self.run, self.kernel = run, kernel
 
 
 # The algorithm registry: every name a Strategy, the bench or the CLI

@@ -94,20 +94,17 @@ class Record:
 class Natural(Record):
     """Unsigned integer as little-endian digits (digits[0] least significant).
 
-    The constructor canonicalizes: trailing most-significant zeros are
-    stripped, so the zero value is always the empty tuple.
+    The constructor checks every digit, trailing zeros included (not
+    exactly an `int`: `TypeError`; outside `0 <= d < base`: `ValueError`),
+    then strips trailing most-significant zeros, so the zero value is
+    always the empty tuple.
     """
 
     __slots__ = ("digits", "base")
 
     def __init__(self, digits: tuple[int, ...], base: Base = DEFAULT_BASE):
         base = Base(base)
-        digits = tuple(digits)
-        n = len(digits)
-        while n > 0 and digits[n - 1] == 0:
-            n -= 1
-        if n != len(digits):
-            digits = digits[:n]
+        digits = list(digits)
         for d in digits:
             # exactly int: floats and bools would reach the kernels, where
             # the two backends treat them differently
@@ -115,7 +112,7 @@ class Natural(Record):
                 raise TypeError(f"digit {d!r} is not an int")
             if not 0 <= d < base:
                 raise ValueError(f"digit {d} out of range for base {int(base)}")
-        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "digits", tuple(_pykernels._trim(digits)))
         object.__setattr__(self, "base", base)
 
     def is_zero(self) -> bool:
@@ -238,7 +235,10 @@ def to_int(x: Natural) -> int:
 
 
 def from_int(value: int, base: Base = DEFAULT_BASE) -> Natural:
-    """Build a canonical Natural from a nonnegative machine integer."""
+    """Build a canonical Natural from a nonnegative machine integer.  The
+    value must be exactly an `int`: a float or a bool raises `TypeError`."""
+    if type(value) is not int:
+        raise TypeError(f"value {value!r} is not an int")
     if value < 0:
         raise ValueError("Natural cannot represent a negative value")
     beta = int(Base(base))

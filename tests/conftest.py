@@ -107,10 +107,21 @@ def build_ckernels(directory: Path, cflags: list[str]) -> Path:
 
 
 def load_ckernels(target: Path):
-    """A built compiled twin, loaded as a bare module from its path."""
-    spec = importlib.util.spec_from_file_location("vedarith._ckernels", target)
+    """A built compiled twin, loaded as a bare module from its path.  Loading
+    an extension registers it in `sys.modules`, so the entry it replaced is
+    put back: code that looks the package's kernels up there (perfbench's
+    tracer) still finds the twin `backend` imported."""
+    name = "vedarith._ckernels"
+    previous = sys.modules.get(name)
+    spec = importlib.util.spec_from_file_location(name, target)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        if previous is None:
+            sys.modules.pop(name, None)
+        else:
+            sys.modules[name] = previous
     return module
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from conftest import ALL_BASES, nat, package_env, val
 from vedarith import numeral
 from vedarith.bench import BenchConfig, BenchRecord
-from vedarith.modexp import Strategy
+from vedarith.modexp import Algorithm, Strategy
 from vedarith.numeral import (
     Base,
     BaseMismatchError,
@@ -19,7 +19,7 @@ from vedarith.numeral import (
 )
 from vedarith.rsa import KeyPair, RsaPrivateKey, RsaPublicKey
 from vedarith.vedic_div import DivResult
-from vedarith.vedic_mul import StructureReport
+from vedarith.vedic_mul import StructureReport, multiply
 
 bases = st.sampled_from(ALL_BASES)
 values = st.integers(min_value=0, max_value=1 << 130)
@@ -73,12 +73,47 @@ def test_constructor_canonicalizes_and_validates():
         Natural((16,), Base.HEX)
     with pytest.raises(ValueError):
         Natural((-1,), Base.HEX)
+    # a bad digit that equals 0 is checked, not trimmed away
+    for digits in ((1, 0.0), (1, False), (0.0,), (False,), (1, -0.0)):
+        for base in ALL_BASES:
+            with pytest.raises(TypeError, match="not an int"):
+                Natural(digits, base)
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, True, "1", None], ids=repr)
 def test_constructor_rejects_non_int_digits(bad):
     with pytest.raises(TypeError, match="not an int"):
         Natural((bad, 2), Base.HEX)
+
+
+@pytest.mark.parametrize("base", ALL_BASES, ids=int)
+@given(data=st.data())
+def test_constructor_checks_every_digit_at_any_position(base, data):
+    beta = int(base)
+    digits = list(numeral.from_int(data.draw(values), base).digits)
+    digits += [0] * data.draw(st.integers(0, 3))
+    bad = data.draw(
+        st.booleans()
+        | st.sampled_from([0.0, -0.0])
+        | st.floats()
+        | st.integers(max_value=-1)
+        | st.integers(min_value=beta)
+    )
+    # from the bottom digit up to one past the last trailing zero
+    digits.insert(data.draw(st.integers(0, len(digits))), bad)
+    if type(bad) is int:
+        with pytest.raises(ValueError, match="out of range"):
+            Natural(digits, base)
+    else:
+        with pytest.raises(TypeError, match="not an int"):
+            Natural(digits, base)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, False, True, 3.0], ids=repr)
+def test_from_int_takes_exactly_an_int(bad):
+    for base in ALL_BASES:
+        with pytest.raises(TypeError, match=r"^value .* is not an int$"):
+            numeral.from_int(bad, base)
 
 
 def test_equality_is_structural_including_base():
@@ -103,6 +138,7 @@ VALUE_TYPES = [
     ),
     (BenchRecord, ("mul", "vedic", 16, 4, 4000, "ab", "pure")),
     (BenchConfig, ((8, 16), 3, 7, ("mul",), None, False)),
+    (Algorithm, (multiply, "mul_vedic")),
 ]
 
 
@@ -277,7 +313,15 @@ def test_bits_roundtrip(v, base):
 
 def test_from_bits_takes_only_the_ints_0_and_1():
     # 1.0 and True equal 1 but are no int digits; 2 and -1 are out of range
-    for bits in ([1.0, 1], [True, False, True], [1.0, 0.0, 1.0], [0, 2], [-1]):
+    for bits in (
+        [1.0, 1],
+        [True, False, True],
+        [1.0, 0.0, 1.0],
+        [1, 0.0],
+        [1, False],
+        [0, 2],
+        [-1],
+    ):
         for base in ALL_BASES:
             with pytest.raises(ValueError, match="bits must be 0 or 1"):
                 numeral.from_bits(bits, base)
