@@ -346,7 +346,7 @@ div_straight(PyObject *self, PyObject *args)
         || !(SUB = alloc_digits(M + 1)))
         goto done;
     /* normalize both operands in place */
-    scale = dy[M - 1] >= (base + 1) / 2 ? 1 : base / (dy[M - 1] + 1);
+    scale = base / (dy[M - 1] + 1);
     if (scale != 1) {
         scale_into(X, L, scale, base, X);
         L = trim(X, L + 1);

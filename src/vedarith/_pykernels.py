@@ -136,16 +136,16 @@ def mul_shift_add(xs: tuple, ys: tuple, base: int, /) -> tuple:
 class _Divisor(dict):
     """One divisor's fixed work for straight division.
 
-    `scale` is the single-digit factor that lifts the leading digit to at
-    least ceil(base/2), `dy` the scaled digits, `main` their leading digit,
-    and `self[q]` the subtrahend dy*q, big-endian, zero-padded to M+1 digits.
+    `scale` is base // (top + 1) (Knuth's step D1): it lifts the leading
+    digit to at least floor(base/2).  `dy` is the scaled digits, `main` their
+    leading digit, `self[q]` the row dy*q, big-endian, padded to M+1 digits.
     """
 
     __slots__ = ("base", "scale", "dy", "main")
 
     def __init__(self, ys: tuple, base: int):
         self.base = base
-        self.scale = 1 if ys[-1] >= (base + 1) // 2 else base // (ys[-1] + 1)
+        self.scale = base // (ys[-1] + 1)
         self.dy = ys if self.scale == 1 else _scale(ys, self.scale, base)
         assert len(self.dy) == len(ys), "normalization must not grow the divisor"
         self.main = self.dy[-1]
@@ -163,7 +163,7 @@ def div_straight(xs: tuple, ys: tuple, base: int, want_trace: bool = False, /):
     """Straight (at-sight) division by the divisor's leading digit.
 
     The divisor is normalized by a single-digit scale so its leading digit
-    is at least ceil(base/2); each quotient digit is estimated by dividing
+    is at least floor(base/2); each quotient digit is estimated by dividing
     the top of the running partial by that digit alone, then repaired by
     the adjust loop (at most 2 iterations after normalization).  The lower
     divisor digits act as the flag: their product with the quotient digit

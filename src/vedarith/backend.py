@@ -4,7 +4,9 @@ The compiled extension is preferred when importable; the pure-Python twin
 is the fallback, and `COMPILED_IMPORT_ERROR` keeps why the extension did
 not import.  `VEDARITH_BACKEND=pure|compiled` pins the choice at import
 time, and `use()` swaps it temporarily (handy for differential tests and
-the backend-comparison benchmark).
+the backend-comparison benchmark).  The choice is a `ContextVar`, so it is
+per context: a new thread starts on the import-time default, and an
+asyncio task inherits the backend of the context that created it.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import importlib
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 from . import _pykernels
 
@@ -39,16 +42,14 @@ def _initial():
     return _BACKENDS.get("compiled", _pykernels)
 
 
-_active = _initial()
+_active = ContextVar("vedarith_backend", default=_initial())
 
-
-def kernels():
-    """The currently selected kernel module."""
-    return _active
+# kernels() is the kernel module selected in the current context
+kernels = _active.get
 
 
 def active_name() -> str:
-    return _active.NAME
+    return kernels().NAME
 
 
 def available() -> dict:
@@ -58,14 +59,13 @@ def available() -> dict:
 
 @contextmanager
 def use(name: str):
-    """Temporarily switch the active backend.  Not safe to call while other
-    threads are mid-operation; intended for tests and benchmarks."""
-    global _active
+    """Switch the current context's backend for the block.  A thread started
+    inside it starts on the import-time default; an asyncio task created
+    inside it inherits the switch."""
     if name not in _BACKENDS:
         raise ValueError(f"unknown backend {name!r}")
-    previous = _active
-    _active = _BACKENDS[name]
+    token = _active.set(_BACKENDS[name])
     try:
-        yield _active
+        yield _BACKENDS[name]
     finally:
-        _active = previous
+        _active.reset(token)

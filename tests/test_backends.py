@@ -4,10 +4,13 @@ bit for bit, and the dispatcher must honor explicit selection."""
 import inspect
 import subprocess
 import sys
+import threading
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import build_ckernels, c_compiler, package_env, setup_build_ext
 from vedarith import _pykernels, backend, modexp
@@ -57,6 +60,74 @@ def test_use_switches_and_restores():
     with pytest.raises(ValueError):
         with backend.use("gpu"):
             pass
+
+
+@pytest.fixture
+def fake(monkeypatch):
+    # a backend that is never called, only selected: no C build needed
+    monkeypatch.setitem(backend._BACKENDS, "fake", types.SimpleNamespace(NAME="fake"))
+
+
+def in_thread(fn):
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()))
+    worker.start()
+    worker.join(10)
+    assert not worker.is_alive()
+    return out[0]
+
+
+def test_thread_started_inside_use_reads_the_default(fake):
+    before = backend.active_name()
+    with backend.use("fake"):
+        assert backend.active_name() == "fake"
+        assert in_thread(backend.active_name) == before
+
+
+def test_use_in_a_worker_thread_leaves_the_main_thread_alone(fake):
+    before = backend.active_name()
+    entered, release = threading.Event(), threading.Event()
+    seen = []
+
+    def worker():
+        with backend.use("fake"):
+            seen.append(backend.active_name())
+            entered.set()
+            release.wait(10)
+        seen.append(backend.active_name())
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    try:
+        assert entered.wait(10)
+        assert backend.active_name() == before
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    assert seen == ["fake", before]
+    assert backend.active_name() == before
+
+
+def test_nested_use_restores_in_lifo_order(fake):
+    before = backend.active_name()
+    with backend.use("fake") as outer:
+        assert outer.NAME == "fake"
+        with backend.use("pure") as inner:
+            assert inner is backend.kernels() is _pykernels
+            with backend.use("fake"):
+                assert backend.active_name() == "fake"
+            assert backend.active_name() == "pure"
+        assert backend.active_name() == "fake"
+    assert backend.active_name() == before
+
+
+def test_use_restores_after_an_exception(fake):
+    before = backend.active_name()
+    with pytest.raises(RuntimeError, match="inside"):
+        with backend.use("fake"):
+            raise RuntimeError("raised inside the block")
+    assert backend.active_name() == before
 
 
 def test_compiled_is_default_when_built(compiled, monkeypatch):
@@ -109,6 +180,43 @@ def test_kernels_agree_on_random_digit_lists(compiled):
             for want_trace in (False, True):
                 got = compiled.div_straight(xs, ys, base, want_trace)
                 assert got == _pykernels.div_straight(xs, ys, base, want_trace)
+
+
+PROPERTY_BASES = (2, 3, 4, 10, 16, 100, 255, 256, 65535, 65536)
+
+
+def canonical(base, max_digits):
+    digit = st.integers(min_value=0, max_value=base - 1)
+    return st.lists(digit, max_size=max_digits).map(lambda ds: tuple(_pykernels._trim(ds)))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_kernels_agree_by_property(compiled, data):
+    # every kernel of both twins on canonical tuples; squares pass one tuple
+    # twice, and the bit dividers take at most 96 bits over 64, as above
+    base = data.draw(st.sampled_from(PROPERTY_BASES), label="base")
+    xs = data.draw(canonical(base, 40), label="xs")
+    ys = data.draw(canonical(base, 40), label="ys")
+    for name in ("mul_vedic", "mul_shift_add"):
+        for a, b in ((xs, ys), (xs, xs)):
+            got = getattr(compiled, name)(a, b, base)
+            assert got == getattr(_pykernels, name)(a, b, base), name
+            assert to_int(got, base) == to_int(a, base) * to_int(b, base)
+    if ys:
+        want = divmod(to_int(xs, base), to_int(ys, base))
+        for want_trace in (False, True):
+            got = compiled.div_straight(xs, ys, base, want_trace)
+            assert got == _pykernels.div_straight(xs, ys, base, want_trace)
+            assert (to_int(got[0], base), to_int(got[1], base)) == want
+    width = (base - 1).bit_length()
+    bxs = data.draw(canonical(base, 96 // width), label="bit dividend")
+    bys = data.draw(canonical(base, 64 // width).filter(bool), label="bit divisor")
+    want = divmod(to_int(bxs, base), to_int(bys, base))
+    for name in ("div_restoring", "div_nonrestoring"):
+        got = getattr(compiled, name)(bxs, bys, base)
+        assert got == getattr(_pykernels, name)(bxs, bys, base), name
+        assert (to_int(got[0], base), to_int(got[1], base)) == want, name
 
 
 def test_duplex_square_matches_general_product(compiled):
@@ -370,3 +478,28 @@ def test_divisor_record_reuse_keeps_the_trace():
         warm = _pykernels.div_straight(xs, ys, base, True)
         assert warm == fresh
         check_division(xs, ys, base)
+
+
+@pytest.mark.parametrize("base", (3, 5, 7, 255, 65535))
+def test_odd_bases_normalize_to_at_least_half_the_base(base, compiled):
+    # base // (top + 1) lifts the leading digit to at least floor(base/2),
+    # one short of ceil(base/2) in an odd base ((1,) stays 1 in base 3) and
+    # still enough for adjust <= 2; the C twin's leading digit is read off
+    # its trace, whose last field is K - main * q
+    rng = Lcg64(0x0DD + base)
+    tops = [1, base // 2, base // 2 + 1, base - 1]
+    tops += [1 + rng.below(base - 1) for _ in range(40)]
+    for top in tops:
+        ys = rand_digits(rng, 6, base) + (top,)
+        record = _pykernels._Divisor(ys, base)
+        assert record.main >= base // 2
+        assert len(record.dy) == len(ys)
+        assert to_int(record.dy, base) == to_int(ys, base) * record.scale
+        xs = rand_digits(rng, 30, base) + (1 + rng.below(base - 1),)
+        want = divmod(to_int(xs, base), to_int(ys, base))
+        for kernels in (_pykernels, compiled):
+            q, r, max_adjust, trace = kernels.div_straight(xs, ys, base, True)
+            assert (to_int(q, base), to_int(r, base)) == want, kernels.NAME
+            assert max_adjust <= 2, kernels.NAME
+            mains = {(K - rest) // digit for _, K, _, _, digit, rest in trace if digit}
+            assert mains <= {record.main}, kernels.NAME
